@@ -287,7 +287,6 @@ fn main() {
             (Some(deadline), "cmc") => outcome_of(opt_cmc_within(
                 &space,
                 &params.cmc_params(),
-                &pool,
                 deadline,
                 &mut obs,
             )),

@@ -175,7 +175,7 @@ fn layout_spans(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scwsc_core::telemetry::{PHASE_GUESS, PHASE_SCAN, PHASE_TOTAL};
+    use scwsc_core::telemetry::{PHASE_GUESS, PHASE_SCAN_PRUNE, PHASE_TOTAL};
     use scwsc_core::{FlightRecorder, Observer, TraceId};
 
     /// A real dump from a two-worker recording, via the recorder itself.
@@ -186,9 +186,9 @@ mod tests {
         r.phase_started(PHASE_GUESS);
         r.benefit_computed(10);
         r.worker_switched(1);
-        r.phase_started(PHASE_SCAN);
+        r.phase_started(PHASE_SCAN_PRUNE);
         r.benefit_computed(4);
-        r.phase_ended(PHASE_SCAN, 0.01);
+        r.phase_ended(PHASE_SCAN_PRUNE, 0.01);
         r.worker_switched(0);
         r.set_selected(3, 5, 1.0);
         r.phase_ended(PHASE_GUESS, 0.5);
@@ -229,12 +229,12 @@ mod tests {
             .collect();
         assert!(names.contains(&PHASE_TOTAL), "{names:?}");
         assert!(names.contains(&PHASE_GUESS), "{names:?}");
-        assert!(names.contains(&PHASE_SCAN), "{names:?}");
+        assert!(names.contains(&PHASE_SCAN_PRUNE), "{names:?}");
 
         // The scan span landed on worker 1's pid; main spans on pid 0.
         let scan = spans
             .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some(PHASE_SCAN))
+            .find(|e| e.get("name").and_then(Json::as_str) == Some(PHASE_SCAN_PRUNE))
             .unwrap();
         assert_eq!(scan.get("pid").and_then(Json::as_u64), Some(1));
 
@@ -280,7 +280,7 @@ mod tests {
         };
         let total = bounds(PHASE_TOTAL);
         let guess = bounds(PHASE_GUESS);
-        let scan = bounds(PHASE_SCAN);
+        let scan = bounds(PHASE_SCAN_PRUNE);
         assert!(total.0 <= guess.0 && guess.1 <= total.1, "guess in total");
         assert!(guess.0 <= scan.0 && scan.1 <= guess.1, "scan in guess");
         assert!((total.1 - total.0 - 0.6e6).abs() < 1.0, "total keeps 0.6s");

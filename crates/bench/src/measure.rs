@@ -1,9 +1,9 @@
 //! Timed, instrumented runs of the four algorithm variants the paper
 //! plots: unoptimized/optimized CMC and CWSC (Figures 5–9).
 
-use scwsc_core::algorithms::{cmc, cmc_on, cwsc, cwsc_on, CmcParams};
+use scwsc_core::algorithms::{cmc, cwsc, CmcParams};
 use scwsc_core::{Fanout, MetricsRecorder, NoopObserver, Observer, Stats, ThreadPool};
-use scwsc_patterns::{enumerate_all, opt_cmc, opt_cmc_on, opt_cwsc, CostFn, PatternSpace, Table};
+use scwsc_patterns::{enumerate_all, opt_cmc, opt_cwsc, CostFn, PatternSpace, Table};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -126,34 +126,6 @@ pub fn run_traced(
     params: &RunParams,
     extra: &mut dyn Observer,
 ) -> (Measurement, MetricsRecorder) {
-    run_traced_inner(algo, table, params, None, extra)
-}
-
-/// [`run_traced`] with the solver's parallel fan-outs run on `pool`.
-///
-/// The deterministic counters and the solution are identical to the serial
-/// run for any pool size; only wall-clock changes. `CwscOpt` has no
-/// parallel variant (the Fig. 3 lattice walk is a single sequential round
-/// whose per-step candidate set is too small to chunk profitably) and runs
-/// serial regardless of the pool.
-pub fn run_traced_on(
-    algo: Algo,
-    table: &Table,
-    params: &RunParams,
-    pool: &ThreadPool,
-    extra: &mut dyn Observer,
-) -> (Measurement, MetricsRecorder) {
-    let pool = if pool.is_serial() { None } else { Some(pool) };
-    run_traced_inner(algo, table, params, pool, extra)
-}
-
-fn run_traced_inner(
-    algo: Algo,
-    table: &Table,
-    params: &RunParams,
-    pool: Option<&ThreadPool>,
-    extra: &mut dyn Observer,
-) -> (Measurement, MetricsRecorder) {
     let mut stats = Stats::new();
     let mut metrics = MetricsRecorder::new();
     let start = Instant::now();
@@ -163,10 +135,7 @@ fn run_traced_inner(
         match algo {
             Algo::CmcUnopt => {
                 let m = enumerate_all(table, params.cost_fn);
-                let result = match pool {
-                    Some(pool) => cmc_on(&m.system, &params.cmc_params(), pool, &mut obs),
-                    None => cmc(&m.system, &params.cmc_params(), &mut obs),
-                };
+                let result = cmc(&m.system, &params.cmc_params(), &mut obs);
                 result.ok().map(|o| {
                     (
                         o.solution.total_cost().value(),
@@ -177,20 +146,14 @@ fn run_traced_inner(
             }
             Algo::CwscUnopt => {
                 let m = enumerate_all(table, params.cost_fn);
-                let result = match pool {
-                    Some(pool) => cwsc_on(&m.system, params.k, params.coverage, pool, &mut obs),
-                    None => cwsc(&m.system, params.k, params.coverage, &mut obs),
-                };
+                let result = cwsc(&m.system, params.k, params.coverage, &mut obs);
                 result
                     .ok()
                     .map(|s| (s.total_cost().value(), s.size(), s.covered()))
             }
             Algo::CmcOpt => {
                 let space = PatternSpace::new(table, params.cost_fn);
-                let result = match pool {
-                    Some(pool) => opt_cmc_on(&space, &params.cmc_params(), pool, &mut obs),
-                    None => opt_cmc(&space, &params.cmc_params(), &mut obs),
-                };
+                let result = opt_cmc(&space, &params.cmc_params(), &mut obs);
                 result.ok().map(|s| (s.total_cost, s.size(), s.covered))
             }
             Algo::CwscOpt => {
@@ -218,6 +181,20 @@ fn run_traced_inner(
         ok: outcome.is_some(),
     };
     (measurement, metrics)
+}
+
+/// [`run_traced`] with a thread pool, for `scwsc_bench record --threads`.
+/// Every solver runs on the calling thread (DESIGN.md §11), so `pool`
+/// changes nothing measured: the counters and solution equal
+/// [`run_traced`]'s for any pool size.
+pub fn run_traced_on(
+    algo: Algo,
+    table: &Table,
+    params: &RunParams,
+    _pool: &ThreadPool,
+    extra: &mut dyn Observer,
+) -> (Measurement, MetricsRecorder) {
+    run_traced(algo, table, params, extra)
 }
 
 #[cfg(test)]

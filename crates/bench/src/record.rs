@@ -38,11 +38,11 @@ pub fn record_suite(
     )
 }
 
-/// [`record_suite`] with each workload's solver fan-outs run on `pool`.
+/// [`record_suite`] with a thread pool (`scwsc_bench record --threads`).
 ///
 /// The deterministic counters are identical to a serial recording for any
-/// pool size — that is the parallel layer's contract and exactly what
-/// `scwsc_bench diff --counters-only` checks between a `SCWSC_THREADS=1`
+/// pool size — the solvers run on the calling thread, and `scwsc_bench
+/// diff --counters-only` checks exactly this between a `SCWSC_THREADS=1`
 /// and a `SCWSC_THREADS=4` recording. Only `rep_secs` and span timings
 /// change.
 pub fn record_suite_on(

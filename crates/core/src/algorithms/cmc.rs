@@ -9,20 +9,18 @@
 //! Theorem 5: the ε-schedule uses at most `(1+ε)k` sets at cost
 //! `O(((1+b)/ε)·log k·OPT)`.
 
-use crate::algorithms::scan;
-use crate::bitset::BitSet;
 use crate::cover_state::CoverState;
 use crate::engine::{
-    panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
+    classic_result, contain_panics, Certificate, Deadline, DegradeReason, Degraded, EngineError,
+    Retry, SolveOutcome,
 };
-use crate::parallel::{CancelToken, ThreadPool};
+use crate::parallel::ThreadPool;
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{
-    audit, pack_k_target, EventLog, Observer, PhaseSpan, ThreadLocalTelemetry, TraceId,
-    PHASE_GUESS, PHASE_INIT, PHASE_SELECT, PHASE_TOTAL,
+    audit, pack_k_target, Observer, PhaseSpan, TraceId, PHASE_GUESS, PHASE_INIT, PHASE_SELECT,
+    PHASE_TOTAL,
 };
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Fraction of the requested coverage that CMC guarantees (Fig. 1 line 06).
 pub const CMC_COVERAGE_DISCOUNT: f64 = 1.0 - std::f64::consts::E.recip();
@@ -250,7 +248,8 @@ pub struct CmcOutcome {
 /// marginal benefit is computed per guess (all of them, Fig. 1 lines
 /// 04–05 — the Figure 6 metric), `set_selected` per pick, and a `"total"`
 /// phase span. Passing `&mut Stats` aggregates these into the classic
-/// counters (`considered`, `budget_guesses`, `selections`).
+/// counters (`considered`, `budget_guesses`, `selections`). Events go
+/// straight to `obs`, unbuffered.
 ///
 /// Returns [`SolveError::BudgetExhausted`] when even `B` larger than the
 /// total weight of all sets cannot reach the target — impossible when a
@@ -280,197 +279,19 @@ pub fn cmc<O: Observer + ?Sized>(
     params: &CmcParams,
     obs: &mut O,
 ) -> Result<CmcOutcome, SolveError> {
-    if params.k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    assert!(
-        params.budget_growth > 0.0,
-        "budget growth factor b must be positive"
-    );
-
-    let target = params.coverage_target(system.num_elements());
-    if target == 0 {
-        return Ok(CmcOutcome {
-            solution: Solution::from_sets(system, Vec::new()),
-            final_budget: 0.0,
-        });
-    }
-    obs.trace_started(
-        TraceId::mint(
-            "cmc",
-            system.num_elements() as u64,
-            pack_k_target(params.k, target),
-        ),
-        "cmc",
-    );
-    let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = guess_loop(system, params, target, obs);
-    span.exit(obs);
-    result
+    classic_result(solve(system, params, &Deadline::unbounded(), false, obs))
 }
 
-/// The Fig. 1 outer repeat loop, wrapped by [`cmc`]'s phase span.
-fn guess_loop<O: Observer + ?Sized>(
-    system: &SetSystem,
-    params: &CmcParams,
-    target: usize,
-    obs: &mut O,
-) -> Result<CmcOutcome, SolveError> {
-    let total_cost = system.total_cost().value();
-    let mut budget = initial_budget(system, params.k);
-
-    loop {
-        obs.guess_started(Some(budget));
-        let guess_span = PhaseSpan::enter(obs, PHASE_GUESS);
-        let found = run_guess(system, params, budget, target, obs);
-        guess_span.exit(obs);
-        if let Some(solution) = found {
-            return Ok(CmcOutcome {
-                solution,
-                final_budget: budget,
-            });
-        }
-        if budget > total_cost {
-            return Err(SolveError::BudgetExhausted);
-        }
-        budget *= 1.0 + params.budget_growth; // line 28
-    }
-}
-
-/// Line 01: B = cost of the k cheapest sets. Guard degenerate zero
-/// budgets (all-k-cheapest free) so the geometric growth can start.
-fn initial_budget(system: &SetSystem, k: usize) -> f64 {
-    let b0 = system.k_cheapest_cost(k).value();
-    if b0 > 0.0 {
-        return b0;
-    }
-    let min_positive = system
-        .iter()
-        .map(|(_, s)| s.cost().value())
-        .filter(|&c| c > 0.0)
-        .fold(f64::INFINITY, f64::min);
-    if min_positive.is_finite() {
-        min_positive
-    } else {
-        1.0 // every set is free; a single pass suffices
-    }
-}
-
-/// One iteration of the outer repeat loop (Fig. 1 lines 03–27) for a fixed
-/// budget `B`. Returns the solution when the coverage target is met.
-fn run_guess<O: Observer + ?Sized>(
-    system: &SetSystem,
-    params: &CmcParams,
-    budget: f64,
-    target: usize,
-    obs: &mut O,
-) -> Option<Solution> {
-    // Lines 04-05: fresh marginal benefits for every set.
-    let init_span = PhaseSpan::enter(obs, PHASE_INIT);
-    let mut state = CoverState::new(system);
-    obs.benefit_computed(system.num_sets() as u64);
-    init_span.exit(obs);
-
-    let levels = Levels::build(params.schedule, budget, params.k);
-    // Announce the whole schedule up front (even levels an early return
-    // skips) so observers see each guess's complete level partition.
-    for level in 0..levels.len() {
-        obs.level_entered(level, levels.quota(level));
-    }
-    // Precompute each set's level under this budget so the inner argmax
-    // filter is a table lookup.
-    let set_level: Vec<Option<usize>> = (0..system.num_sets() as SetId)
-        .map(|id| levels.level_of(system.cost(id).value()))
-        .collect();
-
-    let mut chosen: Vec<SetId> = Vec::new();
-    let mut rem = target; // line 06
-
-    let select_span = PhaseSpan::enter(obs, PHASE_SELECT);
-    for level in 0..levels.len() {
-        for _ in 0..levels.quota(level) {
-            // Line 17: argmax of marginal benefit within the level.
-            let top = state.top_benefit(audit::TOP, |id| set_level[id as usize] == Some(level));
-            let Some((q, newly)) = audit::pick_cover(&mut state, obs, audit::ORDER_BENEFIT, &top)
-            else {
-                break; // line 18: level exhausted
-            };
-            chosen.push(q); // line 19
-            rem = rem.saturating_sub(newly);
-            if rem == 0 {
-                select_span.exit(obs);
-                return Some(Solution::from_sets(system, chosen)); // lines 22-23
-            }
-        }
-    }
-    select_span.exit(obs);
-    None
-}
-
-/// [`cmc`] on a thread pool: speculative budget guessing plus chunked
-/// benefit scans.
-///
-/// Two parallel layers compose (DESIGN.md §11):
-///
-/// 1. **Speculative guessing** — up to one budget guess per pool thread
-///    (`B, (1+b)B, …`) runs concurrently. The committed result is always
-///    the *smallest-budget* success; a guess is cancelled (via
-///    [`CancelToken`]) only once a strictly smaller budget has succeeded,
-///    so every guess the serial loop would have run completes and its
-///    recorded event log replays into `obs` in budget order. The caller's
-///    observer therefore sees the exact serial event stream, followed by
-///    one `speculation(committed, wasted)` event per window — the only
-///    counters (gated out of the exact-diff set) that differ from serial.
-/// 2. **Chunked scans** — each guess's inner arg-max recounts marginal
-///    benefits across the pool with serial tie-breaking (see
-///    [`scan::masked_argmax`]), adding nested `"scan"` spans.
-///
-/// A serial pool delegates to [`cmc`] outright. For any thread count the
-/// outcome (solution, order of selections, final budget) and every exact
-/// counter are identical to serial.
+/// [`cmc`] with a thread-pool argument, kept for callers that thread one
+/// through. The solve runs on the calling thread; `pool` is unused
+/// (DESIGN.md §11).
 pub fn cmc_on<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
     obs: &mut O,
 ) -> Result<CmcOutcome, SolveError> {
-    if pool.is_serial() {
-        return cmc(system, params, obs);
-    }
-    if params.k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    assert!(
-        params.budget_growth > 0.0,
-        "budget growth factor b must be positive"
-    );
-    let target = params.coverage_target(system.num_elements());
-    if target == 0 {
-        return Ok(CmcOutcome {
-            solution: Solution::from_sets(system, Vec::new()),
-            final_budget: 0.0,
-        });
-    }
-    obs.trace_started(
-        TraceId::mint(
-            "cmc",
-            system.num_elements() as u64,
-            pack_k_target(params.k, target),
-        ),
-        "cmc",
-    );
-    let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let deadline = Deadline::unbounded();
-    let result = guess_loop_speculative(system, params, target, pool, &deadline, false, obs);
-    span.exit(obs);
-    match result {
-        Ok(SolveOutcome::Complete(outcome)) => Ok(outcome),
-        Ok(SolveOutcome::Degraded(_)) => unreachable!("unbounded deadline cannot degrade"),
-        Err(EngineError::Solve(e)) => Err(e),
-        Err(EngineError::Panicked(_)) => {
-            unreachable!("without containment, panics are re-raised")
-        }
-    }
+    cmc(system, params, obs)
 }
 
 /// [`cmc`] under a [`Deadline`]: the resilience-engine entry point
@@ -484,22 +305,28 @@ pub fn cmc_on<O: Observer + ?Sized>(
 /// independently re-checks. One work tick is consumed per selection
 /// attempt.
 ///
-/// Panic isolation: each budget guess runs under `catch_unwind`; a
-/// panicked guess is retried once serially (counted by the
+/// Panic isolation: each budget guess runs under
+/// [`contain_panics`] — a panicked guess is retried once (counted by the
 /// `guesses_retried` telemetry event) and a second panic surfaces as
 /// [`EngineError::Panicked`] instead of unwinding.
-///
-/// Determinism: when the deadline is tick-addressed
-/// ([`Deadline::tick_deterministic`]) cross-guess speculation is disabled
-/// — guesses run in serial budget order while the inner benefit scans
-/// still parallelize (scans do not tick) — so the outcome classification,
-/// partial solution, and tick count are identical for `Threads(1)` and
-/// `Threads(N)`. Wall-clock-only deadlines keep speculation.
 pub fn cmc_within<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
-    pool: &ThreadPool,
     deadline: &Deadline,
+    obs: &mut O,
+) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
+    solve(system, params, deadline, true, obs)
+}
+
+/// The one CMC core behind every entry point: the classic ones pass a
+/// private unbounded deadline and `contain == false` (events stream
+/// straight into `obs`, panics propagate); [`cmc_within`] passes the
+/// caller's deadline and contains each guess.
+fn solve<O: Observer + ?Sized>(
+    system: &SetSystem,
+    params: &CmcParams,
+    deadline: &Deadline,
+    contain: bool,
     obs: &mut O,
 ) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
     if params.k == 0 {
@@ -525,113 +352,33 @@ pub fn cmc_within<O: Observer + ?Sized>(
         "cmc",
     );
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = if pool.is_serial() || deadline.tick_deterministic() {
-        guess_loop_within(system, params, target, pool, deadline, obs)
-    } else {
-        guess_loop_speculative(system, params, target, pool, deadline, true, obs)
-    };
+    let result = guess_loop(system, params, target, deadline, contain, obs);
     span.exit(obs);
     result
 }
 
-/// Result of one budget-guess run.
-enum GuessOutcome {
-    Found(Solution),
-    NotFound,
-    /// Abandoned because a smaller budget already succeeded; its log is
-    /// in the discarded (wasted) range by construction.
-    Cancelled,
-    /// The deadline expired mid-guess; the partial selection becomes the
-    /// degraded outcome.
-    Expired {
-        partial: Vec<SetId>,
-        quotas_exhausted: Vec<usize>,
-        reason: DegradeReason,
-    },
-}
-
-/// One speculative guess as it came back from the pool: completed, or
-/// panicked with the captured payload (contained for retry or re-raise).
-enum GuessAttempt {
-    Done(GuessOutcome),
-    Panicked(Box<dyn std::any::Any + Send>),
-}
-
-/// Level indices whose quota was fully consumed (ascending) — the
-/// `quotas_exhausted` claim of a degraded certificate.
-fn exhausted_quotas(levels: &Levels, counts: &[usize]) -> Vec<usize> {
-    (0..levels.len())
-        .filter(|&l| counts[l] == levels.quota(l))
-        .collect()
-}
-
-/// Packages an expired guess's partial selection as a degraded outcome
-/// with its certificate, noting the decision in the audit ledger.
-#[allow(clippy::too_many_arguments)]
-fn degrade<O: Observer + ?Sized>(
-    system: &SetSystem,
-    partial: Vec<SetId>,
-    quotas_exhausted: Vec<usize>,
-    reason: DegradeReason,
-    target: usize,
-    budget: f64,
-    deadline: &Deadline,
-    obs: &mut O,
-) -> SolveOutcome<CmcOutcome> {
-    let solution = Solution::from_sets(system, partial);
-    obs.degrade_decided(reason.as_str(), solution.covered() as u64, target as u64);
-    let certificate = Certificate {
-        sets_used: solution.size(),
-        covered: solution.covered(),
-        target,
-        total_cost: solution.total_cost().value(),
-        quotas_exhausted,
-        ticks: deadline.ticks(),
-        reason,
-    };
-    SolveOutcome::Degraded(Degraded {
-        partial: CmcOutcome {
-            solution,
-            final_budget: budget,
-        },
-        certificate,
-    })
-}
-
-/// The Fig. 1 outer loop with guesses in strict serial order — the
-/// tick-deterministic deadline path. Inner benefit scans still use the
-/// pool (scans do not tick), so the tick stream is identical for any
-/// thread count. Each guess is panic-contained and retried once.
-fn guess_loop_within<O: Observer + ?Sized>(
+/// The Fig. 1 outer repeat loop, wrapped by [`solve`]'s phase span.
+fn guess_loop<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
     target: usize,
-    pool: &ThreadPool,
     deadline: &Deadline,
+    contain: bool,
     obs: &mut O,
 ) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
     let total_cost = system.total_cost().value();
-    let masks = if pool.is_serial() {
-        None
-    } else {
-        Some(scan::build_masks(pool, system))
-    };
     let mut budget = initial_budget(system, params.k);
     let mut guess_index = 0u64;
 
     loop {
         guess_index += 1;
-        let outcome = run_contained_guess(
-            system,
-            params,
-            budget,
-            target,
-            masks.as_deref(),
-            pool,
-            deadline,
-            guess_index,
-            obs,
-        )?;
+        let outcome = if contain {
+            contain_panics(Retry::Once, obs, |log| {
+                run_guess(system, params, budget, target, deadline, guess_index, log)
+            })?
+        } else {
+            run_guess(system, params, budget, target, deadline, guess_index, obs)
+        };
         match outcome {
             GuessOutcome::Found(solution) => {
                 return Ok(SolveOutcome::Complete(CmcOutcome {
@@ -644,21 +391,26 @@ fn guess_loop_within<O: Observer + ?Sized>(
                 quotas_exhausted,
                 reason,
             } => {
-                return Ok(degrade(
-                    system,
-                    partial,
-                    quotas_exhausted,
-                    reason,
+                let solution = Solution::from_sets(system, partial);
+                obs.degrade_decided(reason.as_str(), solution.covered() as u64, target as u64);
+                let certificate = Certificate {
+                    sets_used: solution.size(),
+                    covered: solution.covered(),
                     target,
-                    budget,
-                    deadline,
-                    obs,
-                ));
+                    total_cost: solution.total_cost().value(),
+                    quotas_exhausted,
+                    ticks: deadline.ticks(),
+                    reason,
+                };
+                return Ok(SolveOutcome::Degraded(Degraded {
+                    partial: CmcOutcome {
+                        solution,
+                        final_budget: budget,
+                    },
+                    certificate,
+                }));
             }
             GuessOutcome::NotFound => {}
-            GuessOutcome::Cancelled => {
-                unreachable!("serial guess sequence has no speculation token")
-            }
         }
         if budget > total_cost {
             return Err(SolveError::BudgetExhausted.into());
@@ -667,391 +419,112 @@ fn guess_loop_within<O: Observer + ?Sized>(
     }
 }
 
-/// One panic-contained budget guess: records into a private [`EventLog`]
-/// (replayed into `obs` only on normal completion, so a panicked attempt
-/// contributes no events), retries once serially on panic, and maps a
-/// second panic to [`EngineError::Panicked`].
-#[allow(clippy::too_many_arguments)]
-fn run_contained_guess<O: Observer + ?Sized>(
+/// Line 01: B = cost of the k cheapest sets. Guard degenerate zero
+/// budgets (all-k-cheapest free) so the geometric growth can start.
+fn initial_budget(system: &SetSystem, k: usize) -> f64 {
+    let b0 = system.k_cheapest_cost(k).value();
+    if b0 > 0.0 {
+        return b0;
+    }
+    let min_positive = system
+        .iter()
+        .map(|(_, s)| s.cost().value())
+        .filter(|&c| c > 0.0)
+        .fold(f64::INFINITY, f64::min);
+    if min_positive.is_finite() {
+        min_positive
+    } else {
+        1.0 // every set is free; a single pass suffices
+    }
+}
+
+/// Result of one budget-guess run.
+enum GuessOutcome {
+    Found(Solution),
+    NotFound,
+    /// The deadline expired mid-guess; the partial selection becomes the
+    /// degraded outcome.
+    Expired {
+        partial: Vec<SetId>,
+        quotas_exhausted: Vec<usize>,
+        reason: DegradeReason,
+    },
+}
+
+/// One iteration of the outer repeat loop (Fig. 1 lines 03–27) for a fixed
+/// budget `B`, bracketed by its `guess_started` event and `"guess"` span.
+/// Consumes one `deadline` work tick per selection attempt and counts
+/// picks per level for a degraded certificate's `quotas_exhausted`.
+fn run_guess<O: Observer + ?Sized>(
     system: &SetSystem,
     params: &CmcParams,
     budget: f64,
     target: usize,
-    masks: Option<&[BitSet]>,
-    pool: &ThreadPool,
     deadline: &Deadline,
     guess_index: u64,
     obs: &mut O,
-) -> Result<GuessOutcome, EngineError> {
-    let no_cancel = CancelToken::new();
-    let attempt = |log: &mut EventLog| -> GuessOutcome {
-        log.guess_started(Some(budget));
-        let span = PhaseSpan::enter(log, PHASE_GUESS);
-        deadline.fault_guess(guess_index);
-        let outcome = match masks {
-            Some(masks) => run_guess_masked(
-                system, params, budget, target, masks, pool, &no_cancel, deadline, log,
-            ),
-            None => run_guess_within(system, params, budget, target, deadline, log),
-        };
-        span.exit(log);
-        outcome
-    };
-
-    let mut log = EventLog::new();
-    match catch_unwind(AssertUnwindSafe(|| attempt(&mut log))) {
-        Ok(outcome) => {
-            log.replay(obs);
-            Ok(outcome)
-        }
-        Err(_) => {
-            obs.guess_retried();
-            let mut retry_log = EventLog::new();
-            match catch_unwind(AssertUnwindSafe(|| attempt(&mut retry_log))) {
-                Ok(outcome) => {
-                    retry_log.replay(obs);
-                    Ok(outcome)
-                }
-                Err(payload) => Err(EngineError::Panicked(panic_message(payload.as_ref()))),
-            }
-        }
-    }
-}
-
-/// One deadline-aware guess with serial scans: [`run_guess`] plus a work
-/// tick per selection attempt and per-level quota accounting for the
-/// certificate.
-fn run_guess_within(
-    system: &SetSystem,
-    params: &CmcParams,
-    budget: f64,
-    target: usize,
-    deadline: &Deadline,
-    log: &mut EventLog,
 ) -> GuessOutcome {
-    let init_span = PhaseSpan::enter(log, PHASE_INIT);
+    obs.guess_started(Some(budget));
+    let guess_span = PhaseSpan::enter(obs, PHASE_GUESS);
+    deadline.fault_guess(guess_index);
+
+    // Lines 04-05: fresh marginal benefits for every set.
+    let init_span = PhaseSpan::enter(obs, PHASE_INIT);
     let mut state = CoverState::new(system);
-    log.benefit_computed(system.num_sets() as u64);
-    init_span.exit(log);
+    obs.benefit_computed(system.num_sets() as u64);
+    init_span.exit(obs);
 
     let levels = Levels::build(params.schedule, budget, params.k);
+    // Announce the whole schedule up front (even levels an early return
+    // skips) so observers see each guess's complete level partition.
     for level in 0..levels.len() {
-        log.level_entered(level, levels.quota(level));
+        obs.level_entered(level, levels.quota(level));
     }
+    // Precompute each set's level under this budget so the inner argmax
+    // filter is a table lookup.
     let set_level: Vec<Option<usize>> = (0..system.num_sets() as SetId)
         .map(|id| levels.level_of(system.cost(id).value()))
         .collect();
 
     let mut counts = vec![0usize; levels.len()];
     let mut chosen: Vec<SetId> = Vec::new();
-    let mut rem = target;
+    let mut rem = target; // line 06
 
-    let select_span = PhaseSpan::enter(log, PHASE_SELECT);
-    for level in 0..levels.len() {
-        for _ in 0..levels.quota(level) {
-            if let Err(reason) = deadline.checkpoint() {
-                select_span.exit(log);
-                let quotas_exhausted = exhausted_quotas(&levels, &counts);
-                return GuessOutcome::Expired {
-                    partial: chosen,
-                    quotas_exhausted,
-                    reason,
-                };
-            }
-            let top = state.top_benefit(audit::TOP, |id| set_level[id as usize] == Some(level));
-            let Some((q, newly)) = audit::pick_cover(&mut state, log, audit::ORDER_BENEFIT, &top)
-            else {
-                break; // level exhausted
-            };
-            chosen.push(q);
-            counts[level] += 1;
-            rem = rem.saturating_sub(newly);
-            if rem == 0 {
-                select_span.exit(log);
-                return GuessOutcome::Found(Solution::from_sets(system, chosen));
-            }
-        }
-    }
-    select_span.exit(log);
-    GuessOutcome::NotFound
-}
-
-/// The Fig. 1 outer loop run in speculative windows of one guess per
-/// pool thread.
-///
-/// With `contain == false` (the classic [`cmc_on`] path under an
-/// unbounded deadline) job panics are re-raised to the caller unchanged.
-/// With `contain == true` (the [`cmc_within`] engine path) each guess
-/// runs under `catch_unwind`: a panicked guess is retried once serially
-/// on the calling thread (its half-recorded event log is discarded, so
-/// replayed telemetry stays serial-identical) and a second panic becomes
-/// [`EngineError::Panicked`].
-#[allow(clippy::too_many_arguments)]
-fn guess_loop_speculative<O: Observer + ?Sized>(
-    system: &SetSystem,
-    params: &CmcParams,
-    target: usize,
-    pool: &ThreadPool,
-    deadline: &Deadline,
-    contain: bool,
-    obs: &mut O,
-) -> Result<SolveOutcome<CmcOutcome>, EngineError> {
-    let total_cost = system.total_cost().value();
-    let masks = scan::build_masks(pool, system);
-    let mut budget = initial_budget(system, params.k);
-    let mut next_guess_index = 0u64;
-
-    loop {
-        // The window replicates the serial budget sequence, including the
-        // final guess *after* budget exceeds the total cost (the serial
-        // loop runs that one before giving up).
-        let mut budgets = Vec::with_capacity(pool.threads());
-        let mut exhausts = false;
-        let mut b = budget;
-        for _ in 0..pool.threads() {
-            budgets.push(b);
-            if b > total_cost {
-                exhausts = true;
-                break;
-            }
-            b *= 1.0 + params.budget_growth;
-        }
-        let next_budget = b;
-        let base_index = next_guess_index;
-        next_guess_index += budgets.len() as u64;
-
-        let cancels: Vec<CancelToken> = budgets.iter().map(|_| CancelToken::new()).collect();
-        let tasks: Vec<(usize, f64)> = budgets.iter().copied().enumerate().collect();
-        let mut attempts: Vec<(EventLog, GuessAttempt)> = pool.par_map(&tasks, |&(i, guess)| {
-            let mut log = EventLog::new();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                log.guess_started(Some(guess));
-                let guess_span = PhaseSpan::enter(&mut log, PHASE_GUESS);
-                deadline.fault_guess(base_index + i as u64 + 1);
-                let outcome = run_guess_masked(
-                    system,
-                    params,
-                    guess,
-                    target,
-                    &masks,
-                    pool,
-                    &cancels[i],
-                    deadline,
-                    &mut log,
-                );
-                guess_span.exit(&mut log);
-                outcome
-            }));
-            let attempt = match result {
-                Ok(outcome) => {
-                    if matches!(outcome, GuessOutcome::Found(_)) {
-                        // Cancel only strictly larger budgets: smaller ones
-                        // may still succeed and must win the commit.
-                        for token in &cancels[i + 1..] {
-                            token.cancel();
-                        }
-                    }
-                    GuessAttempt::Done(outcome)
-                }
-                Err(payload) => GuessAttempt::Panicked(payload),
-            };
-            (log, attempt)
-        });
-
-        if !contain {
-            // Classic semantics: a job panic propagates to the caller.
-            for (_, attempt) in &mut attempts {
-                if matches!(attempt, GuessAttempt::Panicked(_)) {
-                    let taken =
-                        std::mem::replace(attempt, GuessAttempt::Done(GuessOutcome::NotFound));
-                    let GuessAttempt::Panicked(payload) = taken else {
-                        unreachable!()
-                    };
-                    resume_unwind(payload);
-                }
-            }
-        }
-
-        // Resolve the window in budget order, replaying each committed
-        // guess's log — exactly the guesses the serial loop would have run,
-        // up to and including the first success/expiry.
-        let window = attempts.len();
-        let mut committed = 0usize;
-        let mut resolved: Option<Result<SolveOutcome<CmcOutcome>, EngineError>> = None;
-        for (j, (log, attempt)) in attempts.iter_mut().enumerate() {
-            let taken = std::mem::replace(attempt, GuessAttempt::Done(GuessOutcome::Cancelled));
-            let outcome = match taken {
-                GuessAttempt::Done(outcome) => {
-                    log.replay(obs);
-                    outcome
-                }
-                GuessAttempt::Panicked(_) => {
-                    // Retry once, serially, on the calling thread.
-                    obs.guess_retried();
-                    let mut retry_log = EventLog::new();
-                    let fresh = CancelToken::new();
-                    let retried = catch_unwind(AssertUnwindSafe(|| {
-                        retry_log.guess_started(Some(budgets[j]));
-                        let guess_span = PhaseSpan::enter(&mut retry_log, PHASE_GUESS);
-                        deadline.fault_guess(base_index + j as u64 + 1);
-                        let outcome = run_guess_masked(
-                            system,
-                            params,
-                            budgets[j],
-                            target,
-                            &masks,
-                            pool,
-                            &fresh,
-                            deadline,
-                            &mut retry_log,
-                        );
-                        guess_span.exit(&mut retry_log);
-                        outcome
-                    }));
-                    match retried {
-                        Ok(outcome) => {
-                            retry_log.replay(obs);
-                            outcome
-                        }
-                        Err(payload) => {
-                            resolved =
-                                Some(Err(EngineError::Panicked(panic_message(payload.as_ref()))));
-                            break;
-                        }
-                    }
-                }
-            };
-            committed = j + 1;
-            match outcome {
-                GuessOutcome::Found(solution) => {
-                    resolved = Some(Ok(SolveOutcome::Complete(CmcOutcome {
-                        solution,
-                        final_budget: budgets[j],
-                    })));
-                    break;
-                }
-                GuessOutcome::Expired {
-                    partial,
-                    quotas_exhausted,
-                    reason,
-                } => {
-                    resolved = Some(Ok(degrade(
-                        system,
-                        partial,
+    let select_span = PhaseSpan::enter(obs, PHASE_SELECT);
+    let outcome = 'select: {
+        for level in 0..levels.len() {
+            for _ in 0..levels.quota(level) {
+                if let Err(reason) = deadline.checkpoint() {
+                    let quotas_exhausted = (0..levels.len())
+                        .filter(|&l| counts[l] == levels.quota(l))
+                        .collect();
+                    break 'select GuessOutcome::Expired {
+                        partial: chosen,
                         quotas_exhausted,
                         reason,
-                        target,
-                        budgets[j],
-                        deadline,
-                        obs,
-                    )));
-                    break;
+                    };
                 }
-                GuessOutcome::NotFound => {}
-                GuessOutcome::Cancelled => {
-                    // Only a strictly smaller Found budget cancels, and
-                    // resolution breaks at that budget first.
-                    debug_assert!(false, "cancelled guess reached resolution");
-                }
-            }
-        }
-        obs.speculation(committed as u64, (window - committed) as u64);
-        if let Some(result) = resolved {
-            return result;
-        }
-        if exhausts {
-            return Err(SolveError::BudgetExhausted.into());
-        }
-        budget = next_budget;
-    }
-}
-
-/// One budget guess over the masked scan engine: same selections and
-/// events as [`run_guess`], recorded into the task-local `log`. Consumes
-/// one `deadline` work tick per selection attempt; under an unbounded
-/// deadline (the classic speculative path) the checkpoint can never fail.
-#[allow(clippy::too_many_arguments)]
-fn run_guess_masked(
-    system: &SetSystem,
-    params: &CmcParams,
-    budget: f64,
-    target: usize,
-    masks: &[BitSet],
-    pool: &ThreadPool,
-    cancel: &CancelToken,
-    deadline: &Deadline,
-    log: &mut EventLog,
-) -> GuessOutcome {
-    let init_span = PhaseSpan::enter(log, PHASE_INIT);
-    let mut covered = BitSet::new(system.num_elements());
-    // Bounds are only valid while `covered` grows, so each guess gets a
-    // fresh pruned-scan state (guesses restart coverage from empty).
-    let mut pruned = scan::PrunedScan::new(masks);
-    log.benefit_computed(system.num_sets() as u64);
-    init_span.exit(log);
-
-    let levels = Levels::build(params.schedule, budget, params.k);
-    for level in 0..levels.len() {
-        log.level_entered(level, levels.quota(level));
-    }
-    let set_level: Vec<Option<usize>> = (0..system.num_sets() as SetId)
-        .map(|id| levels.level_of(system.cost(id).value()))
-        .collect();
-
-    let tls = ThreadLocalTelemetry::new(pool.threads());
-    let mut counts = vec![0usize; levels.len()];
-    let mut chosen: Vec<SetId> = Vec::new();
-    let mut rem = target;
-
-    let select_span = PhaseSpan::enter(log, PHASE_SELECT);
-    for level in 0..levels.len() {
-        for _ in 0..levels.quota(level) {
-            if cancel.is_cancelled() {
-                select_span.exit(log);
-                return GuessOutcome::Cancelled;
-            }
-            if let Err(reason) = deadline.checkpoint() {
-                select_span.exit(log);
-                let quotas_exhausted = exhausted_quotas(&levels, &counts);
-                return GuessOutcome::Expired {
-                    partial: chosen,
-                    quotas_exhausted,
-                    reason,
+                // Line 17: argmax of marginal benefit within the level.
+                let top = state.top_benefit(audit::TOP, |id| set_level[id as usize] == Some(level));
+                let Some((q, newly)) =
+                    audit::pick_cover(&mut state, obs, audit::ORDER_BENEFIT, &top)
+                else {
+                    break; // line 18: level exhausted
                 };
-            }
-            let top = scan::masked_top_pruned(
-                pool,
-                &tls,
-                system,
-                masks,
-                &mut pruned,
-                &covered,
-                |id| set_level[id as usize] == Some(level),
-                |_| true,
-                0,
-                scan::ScanOrder::Benefit,
-                audit::TOP,
-                log,
-            );
-            tls.replay(log);
-            let Some(q) = audit::record_cover_round(log, audit::ORDER_BENEFIT, &top) else {
-                break; // level exhausted
-            };
-            let win = top[0];
-            audit::charge_masked(log, system, &covered, win);
-            chosen.push(q);
-            counts[level] += 1;
-            covered.union_with(&masks[q as usize]);
-            log.set_selected(q as u64, win.mben as u64, win.cost.value());
-            rem = rem.saturating_sub(win.mben);
-            if rem == 0 {
-                select_span.exit(log);
-                return GuessOutcome::Found(Solution::from_sets(system, chosen));
+                chosen.push(q); // line 19
+                counts[level] += 1;
+                rem = rem.saturating_sub(newly);
+                if rem == 0 {
+                    // Lines 22-23.
+                    break 'select GuessOutcome::Found(Solution::from_sets(system, chosen));
+                }
             }
         }
-    }
-    select_span.exit(log);
-    GuessOutcome::NotFound
+        GuessOutcome::NotFound
+    };
+    select_span.exit(obs);
+    guess_span.exit(obs);
+    outcome
 }
 
 #[cfg(test)]
@@ -1379,8 +852,6 @@ mod tests {
                 assert_eq!(pm.selections, sm.selections);
                 assert_eq!(pm.benefits_computed, sm.benefits_computed);
                 assert_eq!(pm.marginal_benefit_hist, sm.marginal_benefit_hist);
-                // Every serial guess is committed, never more or fewer.
-                assert_eq!(pm.guesses_committed, sm.guesses);
                 assert_eq!(sm.guesses_committed, 0, "serial never speculates");
             }
         }
@@ -1407,7 +878,6 @@ mod tests {
     mod within {
         use super::*;
         use crate::engine::{Deadline, DegradeReason, SolveOutcome};
-        use crate::parallel::{ThreadPool, Threads};
         use crate::solution::verify_certificate;
         use crate::telemetry::MetricsRecorder;
         use std::time::Duration;
@@ -1425,27 +895,25 @@ mod tests {
         fn unbounded_deadline_matches_plain_cmc() {
             let sys = chain_system(12);
             let params = CmcParams::classic(6, 0.75, 1.0);
-            let serial = cmc(&sys, &params, &mut MetricsRecorder::new()).unwrap();
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let deadline = Deadline::unbounded();
-                let out = cmc_within(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                    .unwrap();
-                match out {
-                    SolveOutcome::Complete(outcome) => assert_eq!(outcome, serial),
-                    SolveOutcome::Degraded(_) => panic!("unbounded deadline degraded"),
-                }
+            let mut plain_metrics = MetricsRecorder::new();
+            let plain = cmc(&sys, &params, &mut plain_metrics).unwrap();
+            let mut metrics = MetricsRecorder::new();
+            let out = cmc_within(&sys, &params, &Deadline::unbounded(), &mut metrics).unwrap();
+            match out {
+                SolveOutcome::Complete(outcome) => assert_eq!(outcome, plain),
+                SolveOutcome::Degraded(_) => panic!("unbounded deadline degraded"),
             }
+            assert_eq!(metrics.guesses, plain_metrics.guesses);
+            assert_eq!(metrics.selections, plain_metrics.selections);
+            assert_eq!(metrics.benefits_computed, plain_metrics.benefits_computed);
         }
 
         #[test]
         fn tick_budget_degrades_with_verifiable_certificate() {
             let sys = chain_system(16);
             let params = CmcParams::classic(8, 1.0, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_tick_budget(3);
-            let out =
-                cmc_within(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let out = cmc_within(&sys, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("3 ticks cannot cover 16 singleton elements");
             };
@@ -1456,18 +924,17 @@ mod tests {
         }
 
         #[test]
-        fn tick_budget_outcome_is_thread_count_invariant() {
+        fn tick_budget_outcome_is_deterministic() {
             let sys = chain_system(14);
             let params = CmcParams::classic(7, 1.0, 1.0);
             for budget in [0, 1, 2, 5, 9, 50] {
-                let run = |threads: usize| {
-                    let pool = ThreadPool::new(Threads::new(threads));
+                let run = || {
                     let deadline = Deadline::unbounded().with_tick_budget(budget);
                     let mut m = MetricsRecorder::new();
-                    let out = cmc_within(&sys, &params, &pool, &deadline, &mut m).unwrap();
+                    let out = cmc_within(&sys, &params, &deadline, &mut m).unwrap();
                     (out, deadline.ticks(), m.guesses, m.selections)
                 };
-                assert_eq!(run(1), run(4), "tick budget {budget}");
+                assert_eq!(run(), run(), "tick budget {budget}");
             }
         }
 
@@ -1475,28 +942,22 @@ mod tests {
         fn zero_wall_clock_degrades_immediately() {
             let sys = chain_system(8);
             let params = CmcParams::classic(4, 1.0, 1.0);
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let deadline = Deadline::unbounded().with_wall_clock(Duration::ZERO);
-                let out = cmc_within(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                    .unwrap();
-                let SolveOutcome::Degraded(d) = out else {
-                    panic!("zero wall clock must degrade");
-                };
-                assert_eq!(d.certificate.reason, DegradeReason::WallClock);
-                assert!(verify_certificate(&sys, &d.partial.solution, &d.certificate).is_valid());
-            }
+            let deadline = Deadline::unbounded().with_wall_clock(Duration::ZERO);
+            let out = cmc_within(&sys, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let SolveOutcome::Degraded(d) = out else {
+                panic!("zero wall clock must degrade");
+            };
+            assert_eq!(d.certificate.reason, DegradeReason::WallClock);
+            assert!(verify_certificate(&sys, &d.partial.solution, &d.certificate).is_valid());
         }
 
         #[test]
         fn external_cancellation_degrades_with_reason() {
             let sys = chain_system(8);
             let params = CmcParams::classic(4, 1.0, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded();
             deadline.cancel();
-            let out =
-                cmc_within(&sys, &params, &pool, &deadline, &mut MetricsRecorder::new()).unwrap();
+            let out = cmc_within(&sys, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("cancelled deadline must degrade");
             };
@@ -1507,11 +968,9 @@ mod tests {
         fn zero_k_is_a_solve_error() {
             let sys = chain_system(4);
             let params = CmcParams::classic(0, 1.0, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let err = cmc_within(
                 &sys,
                 &params,
-                &pool,
                 &Deadline::unbounded(),
                 &mut MetricsRecorder::new(),
             )
@@ -1527,7 +986,6 @@ mod tests {
     mod within_faults {
         use super::*;
         use crate::engine::{Deadline, EngineError, FaultPlan, SolveOutcome};
-        use crate::parallel::{ThreadPool, Threads};
         use crate::telemetry::MetricsRecorder;
 
         fn system() -> SetSystem {
@@ -1544,33 +1002,26 @@ mod tests {
             let sys = system();
             let params = CmcParams::classic(5, 1.0, 1.0);
             let clean = cmc(&sys, &params, &mut MetricsRecorder::new()).unwrap();
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let deadline =
-                    Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
-                let mut m = MetricsRecorder::new();
-                let out = cmc_within(&sys, &params, &pool, &deadline, &mut m).unwrap();
-                match out {
-                    SolveOutcome::Complete(outcome) => assert_eq!(outcome, clean),
-                    SolveOutcome::Degraded(_) => panic!("fault retry must complete"),
-                }
-                assert_eq!(m.guesses_retried, 1, "threads {threads}");
+            let deadline =
+                Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
+            let mut m = MetricsRecorder::new();
+            let out = cmc_within(&sys, &params, &deadline, &mut m).unwrap();
+            match out {
+                SolveOutcome::Complete(outcome) => assert_eq!(outcome, clean),
+                SolveOutcome::Degraded(_) => panic!("fault retry must complete"),
             }
+            assert_eq!(m.guesses_retried, 1);
         }
 
         #[test]
         fn persistent_guess_fault_is_a_structured_error() {
             let sys = system();
             let params = CmcParams::classic(5, 1.0, 1.0);
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let deadline =
-                    Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
-                let mut m = MetricsRecorder::new();
-                let err = cmc_within(&sys, &params, &pool, &deadline, &mut m).unwrap_err();
-                assert!(matches!(err, EngineError::Panicked(_)), "threads {threads}");
-                assert_eq!(m.guesses_retried, 1);
-            }
+            let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
+            let mut m = MetricsRecorder::new();
+            let err = cmc_within(&sys, &params, &deadline, &mut m).unwrap_err();
+            assert!(matches!(err, EngineError::Panicked(_)));
+            assert_eq!(m.guesses_retried, 1);
         }
 
         #[test]
@@ -1579,11 +1030,10 @@ mod tests {
             let params = CmcParams::classic(5, 1.0, 1.0);
             let mut clean = MetricsRecorder::new();
             cmc(&sys, &params, &mut clean).unwrap();
-            let pool = ThreadPool::new(Threads::serial());
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
             let mut faulted = MetricsRecorder::new();
-            cmc_within(&sys, &params, &pool, &deadline, &mut faulted)
+            cmc_within(&sys, &params, &deadline, &mut faulted)
                 .unwrap()
                 .expect_complete("retry completes");
             // The panicked attempt's half-recorded log was discarded, so

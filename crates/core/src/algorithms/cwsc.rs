@@ -8,20 +8,17 @@
 //! (Section V-B); empirically it matches CMC's quality at a fraction of the
 //! runtime (Tables IV–V).
 
-use crate::algorithms::scan;
-use crate::bitset::BitSet;
 use crate::cover_state::CoverState;
 use crate::engine::{
-    panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
+    classic_result, contain_panics, Certificate, Deadline, DegradeReason, Degraded, EngineError,
+    Retry, SolveOutcome,
 };
 use crate::parallel::ThreadPool;
 use crate::set_system::{coverage_target, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{
-    audit, pack_k_target, EventLog, Observer, PhaseSpan, ThreadLocalTelemetry, TraceId, PHASE_INIT,
-    PHASE_SELECT, PHASE_TOTAL,
+    audit, pack_k_target, Observer, PhaseSpan, TraceId, PHASE_INIT, PHASE_SELECT, PHASE_TOTAL,
 };
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runs CWSC: at most `k` sets covering at least `⌈coverage_fraction·n⌉`
 /// elements.
@@ -59,9 +56,6 @@ pub fn cwsc<O: Observer + ?Sized>(
     coverage_fraction: f64,
     obs: &mut O,
 ) -> Result<Solution, SolveError> {
-    if k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
     let target = coverage_target(system.num_elements(), coverage_fraction);
     cwsc_with_target(system, k, target, obs)
 }
@@ -73,78 +67,20 @@ pub fn cwsc_with_target<O: Observer + ?Sized>(
     target: usize,
     obs: &mut O,
 ) -> Result<Solution, SolveError> {
-    if k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    if target == 0 {
-        return Ok(Solution::from_sets(system, Vec::new()));
-    }
-    obs.trace_started(
-        TraceId::mint(
-            "cwsc",
-            system.num_elements() as u64,
-            pack_k_target(k, target),
-        ),
-        "cwsc",
-    );
-    let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = run(system, k, target, obs);
-    span.exit(obs);
-    result
+    classic_result(solve(system, k, target, &Deadline::unbounded(), false, obs))
 }
 
-/// [`cwsc`] on a thread pool: the per-round arg-max scan is chunked
-/// across workers.
-///
-/// Deterministic: for any thread count the selected sets, their order,
-/// the final solution, and every exact counter are identical to the
-/// serial [`cwsc`] (DESIGN.md §11). A serial pool delegates to [`cwsc`]
-/// outright, so `--threads 1` is byte-for-byte the serial code path. The
-/// only observable difference under `N > 1` is additional `"scan"` phase
-/// spans — one per worker chunk per round, nested under `"select"`.
+/// [`cwsc`] with a thread-pool argument, kept for callers that thread one
+/// through. The solve runs on the calling thread; `pool` is unused
+/// (DESIGN.md §11).
 pub fn cwsc_on<O: Observer + ?Sized>(
     system: &SetSystem,
     k: usize,
     coverage_fraction: f64,
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
     obs: &mut O,
 ) -> Result<Solution, SolveError> {
-    if k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    let target = coverage_target(system.num_elements(), coverage_fraction);
-    cwsc_with_target_on(system, k, target, pool, obs)
-}
-
-/// [`cwsc_with_target`] on a thread pool; see [`cwsc_on`].
-pub fn cwsc_with_target_on<O: Observer + ?Sized>(
-    system: &SetSystem,
-    k: usize,
-    target: usize,
-    pool: &ThreadPool,
-    obs: &mut O,
-) -> Result<Solution, SolveError> {
-    if pool.is_serial() {
-        return cwsc_with_target(system, k, target, obs);
-    }
-    if k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    if target == 0 {
-        return Ok(Solution::from_sets(system, Vec::new()));
-    }
-    obs.trace_started(
-        TraceId::mint(
-            "cwsc",
-            system.num_elements() as u64,
-            pack_k_target(k, target),
-        ),
-        "cwsc",
-    );
-    let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = run_parallel(system, k, target, pool, obs);
-    span.exit(obs);
-    result
+    cwsc(system, k, coverage_fraction, obs)
 }
 
 /// [`cwsc`] under a [`Deadline`]: the resilience-engine entry point
@@ -156,37 +92,30 @@ pub fn cwsc_with_target_on<O: Observer + ?Sized>(
 /// levels) that
 /// [`verify_certificate`](crate::solution::verify_certificate) re-checks.
 ///
-/// CWSC is a single greedy round, so there is no per-guess retry: the
-/// round runs under `catch_unwind` with its telemetry recorded into a
-/// private [`EventLog`] (replayed only on normal completion), and a panic
-/// surfaces as [`EngineError::Panicked`].
-///
-/// Determinism: the tick stream counts rounds, which are identical for
-/// any thread count (the parallel arg-max is exact; DESIGN.md §11), so
-/// outcome classification, partial solution, and tick count match between
-/// `Threads(1)` and `Threads(N)` under tick-addressed deadlines.
+/// CWSC is a single greedy round, so there is no retry: the round runs
+/// under [`contain_panics`] with [`Retry::Never`], and a panic surfaces as
+/// [`EngineError::Panicked`].
 pub fn cwsc_within<O: Observer + ?Sized>(
     system: &SetSystem,
     k: usize,
     coverage_fraction: f64,
-    pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Solution>, EngineError> {
-    if k == 0 {
-        return Err(SolveError::ZeroSizeBound.into());
-    }
     let target = coverage_target(system.num_elements(), coverage_fraction);
-    cwsc_with_target_within(system, k, target, pool, deadline, obs)
+    solve(system, k, target, deadline, true, obs)
 }
 
-/// [`cwsc_within`] with an explicit element-count target.
-pub fn cwsc_with_target_within<O: Observer + ?Sized>(
+/// The one CWSC core behind every entry point: the classic ones pass a
+/// private unbounded deadline and `contain == false` (events stream
+/// straight into `obs`, panics propagate); [`cwsc_within`] passes the
+/// caller's deadline and contains the round.
+fn solve<O: Observer + ?Sized>(
     system: &SetSystem,
     k: usize,
     target: usize,
-    pool: &ThreadPool,
     deadline: &Deadline,
+    contain: bool,
     obs: &mut O,
 ) -> Result<SolveOutcome<Solution>, EngineError> {
     if k == 0 {
@@ -207,47 +136,40 @@ pub fn cwsc_with_target_within<O: Observer + ?Sized>(
         "cwsc",
     );
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let mut log = EventLog::new();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        if pool.is_serial() {
-            run_within_serial(system, k, target, deadline, &mut log)
-        } else {
-            run_within_masked(system, k, target, pool, deadline, &mut log)
-        }
-    }));
-    let result = match caught {
-        Ok(round) => {
-            log.replay(obs);
-            match round {
-                RoundOutcome::Done(result) => result
-                    .map(SolveOutcome::Complete)
-                    .map_err(EngineError::Solve),
-                RoundOutcome::Expired { partial, reason } => {
-                    let solution = Solution::from_sets(system, partial);
-                    obs.degrade_decided(reason.as_str(), solution.covered() as u64, target as u64);
-                    let certificate = Certificate {
-                        sets_used: solution.size(),
-                        covered: solution.covered(),
-                        target,
-                        total_cost: solution.total_cost().value(),
-                        quotas_exhausted: Vec::new(),
-                        ticks: deadline.ticks(),
-                        reason,
-                    };
-                    Ok(SolveOutcome::Degraded(Degraded {
-                        partial: solution,
-                        certificate,
-                    }))
-                }
-            }
-        }
-        Err(payload) => Err(EngineError::Panicked(panic_message(payload.as_ref()))),
+    let round = if contain {
+        contain_panics(Retry::Never, obs, |log| {
+            run(system, k, target, deadline, log)
+        })
+    } else {
+        Ok(run(system, k, target, deadline, obs))
     };
+    let result = round.and_then(|round| match round {
+        RoundOutcome::Done(result) => result
+            .map(SolveOutcome::Complete)
+            .map_err(EngineError::Solve),
+        RoundOutcome::Expired { partial, reason } => {
+            let solution = Solution::from_sets(system, partial);
+            obs.degrade_decided(reason.as_str(), solution.covered() as u64, target as u64);
+            let certificate = Certificate {
+                sets_used: solution.size(),
+                covered: solution.covered(),
+                target,
+                total_cost: solution.total_cost().value(),
+                quotas_exhausted: Vec::new(),
+                ticks: deadline.ticks(),
+                reason,
+            };
+            Ok(SolveOutcome::Degraded(Degraded {
+                partial: solution,
+                certificate,
+            }))
+        }
+    });
     span.exit(obs);
     result
 }
 
-/// How one deadline-aware CWSC round ended.
+/// How one CWSC round ended.
 enum RoundOutcome {
     Done(Result<Solution, SolveError>),
     Expired {
@@ -256,192 +178,16 @@ enum RoundOutcome {
     },
 }
 
-/// [`run`] plus a work tick per selection round.
-fn run_within_serial(
-    system: &SetSystem,
-    k: usize,
-    target: usize,
-    deadline: &Deadline,
-    log: &mut EventLog,
-) -> RoundOutcome {
-    log.guess_started(None);
-    let init_span = PhaseSpan::enter(log, PHASE_INIT);
-    let mut state = CoverState::new(system);
-    log.benefit_computed(system.num_sets() as u64);
-    init_span.exit(log);
-
-    let mut chosen: Vec<SetId> = Vec::with_capacity(k);
-    let mut rem = target;
-
-    let select_span = PhaseSpan::enter(log, PHASE_SELECT);
-    for i in (1..=k).rev() {
-        if let Err(reason) = deadline.checkpoint() {
-            select_span.exit(log);
-            return RoundOutcome::Expired {
-                partial: chosen,
-                reason,
-            };
-        }
-        let i_u = i as u64;
-        let rem_u = rem as u64;
-        let top = state.top_gain(audit::TOP, |id| {
-            i_u * state.marginal_benefit(id) as u64 >= rem_u
-        });
-        let Some((q, newly)) = audit::pick_cover(&mut state, log, audit::ORDER_GAIN, &top) else {
-            select_span.exit(log);
-            return RoundOutcome::Done(Err(SolveError::NoSolution));
-        };
-        chosen.push(q);
-        rem = rem.saturating_sub(newly);
-        if rem == 0 {
-            select_span.exit(log);
-            return RoundOutcome::Done(Ok(Solution::from_sets(system, chosen)));
-        }
-    }
-    select_span.exit(log);
-    RoundOutcome::Done(Err(SolveError::NoSolution))
-}
-
-/// [`run_parallel`] plus a work tick per selection round. The tick
-/// placement matches [`run_within_serial`] exactly (scans do not tick).
-fn run_within_masked(
-    system: &SetSystem,
-    k: usize,
-    target: usize,
-    pool: &ThreadPool,
-    deadline: &Deadline,
-    log: &mut EventLog,
-) -> RoundOutcome {
-    log.guess_started(None);
-    let init_span = PhaseSpan::enter(log, PHASE_INIT);
-    let masks = scan::build_masks(pool, system);
-    let mut pruned = scan::PrunedScan::new(&masks);
-    let mut covered = BitSet::new(system.num_elements());
-    log.benefit_computed(system.num_sets() as u64);
-    init_span.exit(log);
-
-    let tls = ThreadLocalTelemetry::new(pool.threads());
-    let mut chosen: Vec<SetId> = Vec::with_capacity(k);
-    let mut rem = target;
-
-    let select_span = PhaseSpan::enter(log, PHASE_SELECT);
-    for i in (1..=k).rev() {
-        if let Err(reason) = deadline.checkpoint() {
-            select_span.exit(log);
-            return RoundOutcome::Expired {
-                partial: chosen,
-                reason,
-            };
-        }
-        let i_u = i as u64;
-        let rem_u = rem as u64;
-        // Smallest mben passing the `i·|MBen| >= rem` floor below.
-        let floor = rem.div_ceil(i);
-        let top = scan::masked_top_pruned(
-            pool,
-            &tls,
-            system,
-            &masks,
-            &mut pruned,
-            &covered,
-            |_| true,
-            |mben| i_u * mben as u64 >= rem_u,
-            floor,
-            scan::ScanOrder::Gain,
-            audit::TOP,
-            log,
-        );
-        tls.replay(log);
-        let Some(q) = audit::record_cover_round(log, audit::ORDER_GAIN, &top) else {
-            select_span.exit(log);
-            return RoundOutcome::Done(Err(SolveError::NoSolution));
-        };
-        let win = top[0];
-        audit::charge_masked(log, system, &covered, win);
-        chosen.push(q);
-        covered.union_with(&masks[q as usize]);
-        log.set_selected(q as u64, win.mben as u64, win.cost.value());
-        rem = rem.saturating_sub(win.mben);
-        if rem == 0 {
-            select_span.exit(log);
-            return RoundOutcome::Done(Ok(Solution::from_sets(system, chosen)));
-        }
-    }
-    select_span.exit(log);
-    RoundOutcome::Done(Err(SolveError::NoSolution))
-}
-
-/// The Fig. 2 body over the masked scan engine: same selections and
-/// events as [`run`], with the arg-max recounted in parallel.
-fn run_parallel<O: Observer + ?Sized>(
-    system: &SetSystem,
-    k: usize,
-    target: usize,
-    pool: &ThreadPool,
-    obs: &mut O,
-) -> Result<Solution, SolveError> {
-    obs.guess_started(None);
-
-    let init_span = PhaseSpan::enter(obs, PHASE_INIT);
-    let masks = scan::build_masks(pool, system);
-    let mut pruned = scan::PrunedScan::new(&masks);
-    let mut covered = BitSet::new(system.num_elements());
-    obs.benefit_computed(system.num_sets() as u64);
-    init_span.exit(obs);
-
-    let tls = ThreadLocalTelemetry::new(pool.threads());
-    let mut chosen: Vec<SetId> = Vec::with_capacity(k);
-    let mut rem = target;
-
-    let select_span = PhaseSpan::enter(obs, PHASE_SELECT);
-    for i in (1..=k).rev() {
-        let i_u = i as u64;
-        let rem_u = rem as u64;
-        // Smallest mben passing the `i·|MBen| >= rem` floor below.
-        let floor = rem.div_ceil(i);
-        let top = scan::masked_top_pruned(
-            pool,
-            &tls,
-            system,
-            &masks,
-            &mut pruned,
-            &covered,
-            |_| true,
-            |mben| i_u * mben as u64 >= rem_u,
-            floor,
-            scan::ScanOrder::Gain,
-            audit::TOP,
-            obs,
-        );
-        tls.replay(obs);
-        let Some(q) = audit::record_cover_round(obs, audit::ORDER_GAIN, &top) else {
-            select_span.exit(obs);
-            return Err(SolveError::NoSolution);
-        };
-        // The recount is against the pre-union mask, so win.mben is
-        // exactly the serial `newly`.
-        let win = top[0];
-        audit::charge_masked(obs, system, &covered, win);
-        chosen.push(q);
-        covered.union_with(&masks[q as usize]);
-        obs.set_selected(q as u64, win.mben as u64, win.cost.value());
-        rem = rem.saturating_sub(win.mben);
-        if rem == 0 {
-            select_span.exit(obs);
-            return Ok(Solution::from_sets(system, chosen));
-        }
-    }
-    select_span.exit(obs);
-    Err(SolveError::NoSolution)
-}
-
-/// The Fig. 2 body, wrapped by [`cwsc_with_target`]'s phase span.
+/// The Fig. 2 body, wrapped by [`solve`]'s phase span. Consumes one
+/// `deadline` work tick per selection round; under an unbounded deadline
+/// the checkpoint can never fail.
 fn run<O: Observer + ?Sized>(
     system: &SetSystem,
     k: usize,
     target: usize,
+    deadline: &Deadline,
     obs: &mut O,
-) -> Result<Solution, SolveError> {
+) -> RoundOutcome {
     // CWSC is a single round: record it so `budget_guesses` is 1, not 0.
     obs.guess_started(None);
 
@@ -455,32 +201,40 @@ fn run<O: Observer + ?Sized>(
     let mut rem = target; // line 02
 
     let select_span = PhaseSpan::enter(obs, PHASE_SELECT);
-    for i in (1..=k).rev() {
-        // line 06: argmax of MGain over sets with |MBen(s)| >= rem/i,
-        // evaluated in exact integer arithmetic.
-        let i_u = i as u64;
-        let rem_u = rem as u64;
-        let top = state.top_gain(audit::TOP, |id| {
-            i_u * state.marginal_benefit(id) as u64 >= rem_u
-        });
-        // line 08 + lines 09, 11-15 (pick_cover selects and updates MBens)
-        let Some((q, newly)) = audit::pick_cover(&mut state, obs, audit::ORDER_GAIN, &top) else {
-            select_span.exit(obs);
-            return Err(SolveError::NoSolution); // line 07
-        };
-        chosen.push(q);
-        rem = rem.saturating_sub(newly);
-        if rem == 0 {
-            select_span.exit(obs);
-            return Ok(Solution::from_sets(system, chosen)); // line 10
+    let outcome = 'select: {
+        for i in (1..=k).rev() {
+            if let Err(reason) = deadline.checkpoint() {
+                break 'select RoundOutcome::Expired {
+                    partial: chosen,
+                    reason,
+                };
+            }
+            // line 06: argmax of MGain over sets with |MBen(s)| >= rem/i,
+            // evaluated in exact integer arithmetic.
+            let i_u = i as u64;
+            let rem_u = rem as u64;
+            let top = state.top_gain(audit::TOP, |id| {
+                i_u * state.marginal_benefit(id) as u64 >= rem_u
+            });
+            // line 08 + lines 09, 11-15 (pick_cover selects and updates MBens)
+            let Some((q, newly)) = audit::pick_cover(&mut state, obs, audit::ORDER_GAIN, &top)
+            else {
+                break 'select RoundOutcome::Done(Err(SolveError::NoSolution)); // line 07
+            };
+            chosen.push(q);
+            rem = rem.saturating_sub(newly);
+            if rem == 0 {
+                // line 10
+                break 'select RoundOutcome::Done(Ok(Solution::from_sets(system, chosen)));
+            }
         }
-    }
+        // All k picks made but coverage unmet: each eligible pick covered
+        // at least rem/i elements, so this is unreachable; kept as a
+        // defensive error rather than a panic.
+        RoundOutcome::Done(Err(SolveError::NoSolution))
+    };
     select_span.exit(obs);
-
-    // All k picks made but coverage unmet: each eligible pick covered at
-    // least rem/i elements, so this is unreachable; kept as a defensive
-    // error rather than a panic.
-    Err(SolveError::NoSolution)
+    outcome
 }
 
 #[cfg(test)]
@@ -658,7 +412,6 @@ mod tests {
     mod within {
         use super::*;
         use crate::engine::{Deadline, DegradeReason, SolveOutcome};
-        use crate::parallel::{ThreadPool, Threads};
         use crate::solution::verify_certificate;
         use crate::telemetry::MetricsRecorder;
 
@@ -666,23 +419,19 @@ mod tests {
         fn unbounded_deadline_matches_plain_cwsc() {
             let sys = system();
             let serial = cwsc(&sys, 2, 0.75, &mut Stats::new()).unwrap();
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let out = cwsc_within(
-                    &sys,
-                    2,
-                    0.75,
-                    &pool,
-                    &Deadline::unbounded(),
-                    &mut MetricsRecorder::new(),
-                )
-                .unwrap();
-                assert_eq!(out.expect_complete("unbounded"), serial);
-            }
+            let out = cwsc_within(
+                &sys,
+                2,
+                0.75,
+                &Deadline::unbounded(),
+                &mut MetricsRecorder::new(),
+            )
+            .unwrap();
+            assert_eq!(out.expect_complete("unbounded"), serial);
         }
 
         #[test]
-        fn tick_budget_degrades_identically_across_thread_counts() {
+        fn tick_budget_degrades_deterministically() {
             let mut b = SetSystem::builder(12);
             for i in 0..12u32 {
                 b.add_set([i], 1.0);
@@ -690,16 +439,14 @@ mod tests {
             b.add_universe_set(300.0);
             let sys = b.build().unwrap();
             for budget in [0u64, 1, 2, 4] {
-                let run = |threads: usize| {
-                    let pool = ThreadPool::new(Threads::new(threads));
+                let run = || {
                     let deadline = Deadline::unbounded().with_tick_budget(budget);
                     let out =
-                        cwsc_within(&sys, 12, 1.0, &pool, &deadline, &mut MetricsRecorder::new())
-                            .unwrap();
+                        cwsc_within(&sys, 12, 1.0, &deadline, &mut MetricsRecorder::new()).unwrap();
                     (out, deadline.ticks())
                 };
-                let (serial, serial_ticks) = run(1);
-                assert_eq!((serial.clone(), serial_ticks), run(4), "budget {budget}");
+                let (serial, serial_ticks) = run();
+                assert_eq!((serial.clone(), serial_ticks), run(), "budget {budget}");
                 let SolveOutcome::Degraded(d) = serial else {
                     panic!("budget {budget} cannot cover 12 singleton picks");
                 };
@@ -716,29 +463,14 @@ mod tests {
             let mut b = SetSystem::builder(4);
             b.add_set([0], 1.0).add_set([1], 1.0);
             let sys = b.build().unwrap();
-            let pool = ThreadPool::new(Threads::serial());
-            let err = cwsc_within(
-                &sys,
-                1,
-                0.5,
-                &pool,
-                &Deadline::unbounded(),
-                &mut Stats::new(),
-            )
-            .unwrap_err();
+            let err =
+                cwsc_within(&sys, 1, 0.5, &Deadline::unbounded(), &mut Stats::new()).unwrap_err();
             assert!(matches!(
                 err,
                 crate::engine::EngineError::Solve(SolveError::NoSolution)
             ));
-            let empty = cwsc_within(
-                &sys,
-                1,
-                0.0,
-                &pool,
-                &Deadline::unbounded(),
-                &mut Stats::new(),
-            )
-            .unwrap();
+            let empty =
+                cwsc_within(&sys, 1, 0.0, &Deadline::unbounded(), &mut Stats::new()).unwrap();
             assert_eq!(empty.expect_complete("trivial").size(), 0);
         }
     }

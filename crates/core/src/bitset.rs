@@ -236,26 +236,10 @@ impl BitSet {
         self.count_limited(other, summary, threshold, |a, b| a & !b)
     }
 
-    /// `|self ∩ other|` with an early-exit threshold; the limited
-    /// counterpart of [`intersection_count`](BitSet::intersection_count).
-    /// `summary` must describe **this** bitset — see
+    /// Blocked early-exit kernel behind
     /// [`difference_count_limited`](BitSet::difference_count_limited).
-    ///
-    /// # Panics
-    /// Panics if capacities differ.
-    pub fn intersection_count_limited(
-        &self,
-        other: &BitSet,
-        summary: &BlockSummary,
-        threshold: usize,
-    ) -> LimitedCount {
-        assert_eq!(self.len, other.len, "bitset capacity mismatch");
-        self.count_limited(other, summary, threshold, |a, b| a & b)
-    }
-
-    /// Shared blocked early-exit kernel behind the `_limited` variants.
     /// `f(a, b)` must satisfy `popcount(f(a, b)) <= popcount(a)` for the
-    /// suffix bound to be valid (`a & b` and `a & !b` both do).
+    /// suffix bound to be valid (`a & !b` does).
     fn count_limited<F: Fn(u64, u64) -> u64 + Copy>(
         &self,
         other: &BitSet,
@@ -303,38 +287,6 @@ impl BitSet {
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Arg-max of `|self ∩ other|` over `others`: returns
-    /// `(index, count)` of the candidate with the largest intersection,
-    /// the **lowest index** winning ties, or `None` when `others` is
-    /// empty. This is the fused form of the benefit scan's inner loop —
-    /// one pass, no temporaries, same tie-breaking as the serial scan.
-    ///
-    /// # Panics
-    /// Panics if any candidate's capacity differs from `self`'s.
-    pub fn max_intersection_count<'a, I>(&self, others: I) -> Option<(usize, usize)>
-    where
-        I: IntoIterator<Item = &'a BitSet>,
-    {
-        // One summary of the probe serves every candidate: each candidate
-        // count runs limited at `best + 1`, so a candidate that provably
-        // cannot exceed the champion aborts early. `Short` means
-        // `count <= best`, which the exact scan would have discarded too
-        // (lowest index keeps winning ties), so results are identical.
-        let summary = BlockSummary::of(self);
-        let mut best: Option<(usize, usize)> = None;
-        for (i, other) in others.into_iter().enumerate() {
-            let threshold = best.map_or(0, |(_, bc)| bc + 1);
-            match self.intersection_count_limited(other, &summary, threshold) {
-                LimitedCount::Exact(count) => match best {
-                    Some((_, bc)) if bc >= count => {}
-                    _ => best = Some((i, count)),
-                },
-                LimitedCount::Short { .. } => {}
-            }
-        }
-        best
     }
 
     /// Counts ids in `ids` whose bit is **not** set in `self`.
@@ -583,39 +535,6 @@ mod tests {
     }
 
     #[test]
-    fn max_intersection_count_prefers_lowest_index_on_ties() {
-        let probe: BitSet = [1usize, 2, 3, 4, 64, 65].into_iter().collect();
-        let mk = |ids: &[usize]| {
-            let mut b = BitSet::new(probe.len());
-            for &i in ids {
-                b.insert(i);
-            }
-            b
-        };
-        let others = [
-            mk(&[1, 9]),     // count 1
-            mk(&[2, 3, 64]), // count 3 <- first maximum
-            mk(&[1, 4, 65]), // count 3 (tie, higher index loses)
-            mk(&[]),         // count 0
-        ];
-        assert_eq!(probe.max_intersection_count(&others), Some((1, 3)));
-        assert_eq!(
-            probe.max_intersection_count(std::iter::empty::<&BitSet>()),
-            None
-        );
-        // Agrees with a serial scan over intersection_count.
-        let serial = others
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (i, probe.intersection_count(o)))
-            .fold(None, |best: Option<(usize, usize)>, cand| match best {
-                Some((_, bc)) if bc >= cand.1 => best,
-                _ => Some(cand),
-            });
-        assert_eq!(probe.max_intersection_count(&others), serial);
-    }
-
-    #[test]
     fn count_unset_is_marginal_benefit() {
         let mut covered = BitSet::new(10);
         covered.insert(2);
@@ -704,10 +623,6 @@ mod tests {
             a.difference_count_limited(&b, &summary, exact),
             LimitedCount::Exact(exact)
         );
-        assert_eq!(
-            a.intersection_count_limited(&b, &summary, 0),
-            LimitedCount::Exact(a.intersection_count(&b))
-        );
     }
 
     #[test]
@@ -756,21 +671,6 @@ mod tests {
         let smaller = scrambled(100, 7, 2);
         s.rebuild(&smaller);
         assert_eq!(s.total(), smaller.count_ones());
-    }
-
-    #[test]
-    fn max_intersection_count_matches_serial_on_random_sets() {
-        let probe = scrambled(2000, 1, 3);
-        let others: Vec<BitSet> = (0..40).map(|i| scrambled(2000, i + 50, 4)).collect();
-        let serial = others
-            .iter()
-            .enumerate()
-            .map(|(i, o)| (i, probe.intersection_count(o)))
-            .fold(None, |best: Option<(usize, usize)>, cand| match best {
-                Some((_, bc)) if bc >= cand.1 => best,
-                _ => Some(cand),
-            });
-        assert_eq!(probe.max_intersection_count(&others), serial);
     }
 
     #[test]

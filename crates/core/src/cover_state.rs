@@ -17,9 +17,8 @@ use std::cmp::Ordering;
 
 /// A candidate in a greedy arg-max: a set id with its *current* marginal
 /// benefit and its cost. The free comparators below define the canonical
-/// selection order shared by [`CoverState`]'s serial scans and the masked
-/// parallel scans in `algorithms` — both must pick identical winners for
-/// the `Threads(N) == Threads(1)` determinism contract to hold.
+/// selection order of [`CoverState`]'s scans; the optimized pattern
+/// solvers mirror it so they select what the set-system solvers would.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Candidate {
     /// Set id (ties break toward the lower id).
@@ -56,8 +55,7 @@ pub fn gain_order(a: Candidate, b: Candidate) -> Ordering {
 /// `cap` entries. Because the canonical comparators are *total* orders
 /// (id is the final tie-break), the resulting list is the unique sorted
 /// top-`cap` prefix of whatever candidate set was pushed — independent of
-/// push order, which is what makes audit runner-up lists identical across
-/// serial scans and chunk-merged parallel scans.
+/// push order, so audit runner-up lists do not depend on scan order.
 pub fn push_top(
     top: &mut Vec<Candidate>,
     cand: Candidate,
@@ -534,7 +532,7 @@ mod tests {
     #[test]
     fn push_top_merges_chunked_lists_like_one_scan() {
         // Folding per-chunk top lists through push_top reproduces the
-        // single-scan list — the parallel masked_top merge contract.
+        // single-scan list.
         let cand = |id: SetId, mben: usize, cost: f64| Candidate {
             id,
             mben,

@@ -17,7 +17,8 @@
 //!   independently re-checks.
 //! * [`EngineError`] — structured failure: an ordinary [`SolveError`] or a
 //!   contained panic ([`EngineError::Panicked`]). Deadline-aware solvers
-//!   never let a worker panic escape as a panic.
+//!   never let a worker panic escape as a panic; they share one
+//!   isolation layer, [`contain_panics`].
 //! * [`FaultPlan`] (behind the `fault-inject` feature) — a seeded,
 //!   deterministic injector: worker panic at tick N, cancellation at tick
 //!   M, forced guess failure. Property tests use it to assert that no
@@ -26,19 +27,19 @@
 //!
 //! # Determinism contract
 //!
-//! Speculative budget guessing runs guesses on pool workers, which would
-//! interleave their ticks nondeterministically. Deadline-aware solvers
-//! therefore disable cross-guess speculation whenever the deadline is
-//! *tick-addressed* ([`Deadline::tick_deterministic`]): guesses run in
-//! serial order (inner benefit scans still parallelize — scans do not
-//! tick), so the tick stream, the expiry point, and the outcome
-//! classification are identical for `Threads(1)` and `Threads(N)`.
-//! Wall-clock-only deadlines keep speculation and trade that parity for
-//! throughput.
+//! The CMC, CWSC, and optimized-CMC solvers each have one serial core that
+//! takes the deadline as a value: the classic entry points pass a private
+//! [`Deadline::unbounded`], the `*_within` entry points the caller's. The
+//! tick stream, the expiry point, and the outcome classification therefore
+//! depend only on the inputs, never on a thread count. The one pooled
+//! deadline-aware path, the multi-weight λ sweep, fans λs out only when
+//! the deadline is not *tick-addressed* ([`Deadline::tick_deterministic`]).
 
 use crate::parallel::CancelToken;
 use crate::solution::SolveError;
+use crate::telemetry::{EventLog, Observer};
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -189,7 +190,7 @@ impl Deadline {
 
     /// True when expiry depends only on the tick stream (a tick budget is
     /// set, or an attached fault plan triggers on ticks) — the condition
-    /// under which deadline-aware solvers run guesses serially so the
+    /// under which the deadline-aware λ sweep runs its λs serially so the
     /// outcome is identical for every thread count.
     pub fn tick_deterministic(&self) -> bool {
         if self.max_ticks.is_some() {
@@ -300,9 +301,9 @@ impl TickProbe {
 /// Compiled only under the `fault-inject` feature so production builds
 /// carry no injection branches. Tick-addressed faults (panic/cancel at
 /// tick N) make the deadline [`tick_deterministic`](Deadline::tick_deterministic),
-/// which disables speculation; guess-addressed faults (panic on guess i)
-/// keep speculation enabled and still fire deterministically, because
-/// serial guess indices are thread-count-invariant.
+/// which keeps the λ sweep serial; guess-addressed faults (panic on guess
+/// i) fire deterministically because guess indices follow the serial
+/// budget sequence.
 #[cfg(feature = "fault-inject")]
 #[derive(Debug, Default)]
 pub struct FaultPlan {
@@ -365,8 +366,8 @@ impl FaultPlan {
 
     /// Sleep `millis` (once) at the first checkpoint with tick ≥ `tick` —
     /// a pure liveness stall for exercising the watchdog. Deliberately
-    /// *not* tick-addressed for speculation purposes: a sleep changes no
-    /// outcome, so it must not force serial guessing.
+    /// *not* tick-addressed: a sleep changes no outcome, so it must not
+    /// force a serial λ sweep.
     pub fn stall_at_tick(mut self, tick: u64, millis: u64) -> FaultPlan {
         self.stall_at_tick = Some((tick, millis));
         self
@@ -426,8 +427,8 @@ impl FaultPlan {
         plan
     }
 
-    /// Whether any fault triggers on the tick stream (disables
-    /// speculation; see module docs).
+    /// Whether any fault triggers on the tick stream (keeps the λ sweep
+    /// serial; see module docs).
     pub fn tick_addressed(&self) -> bool {
         self.panic_at_tick.is_some() || self.cancel_at_tick.is_some()
     }
@@ -606,6 +607,66 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
+    }
+}
+
+/// Whether [`contain_panics`] gives a panicked attempt a second run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Retry {
+    /// Retry once (counted by one `guess_retried` event); a second panic
+    /// is final. Budget guesses use this: a guess is a pure function of
+    /// its budget, so rerunning it is safe.
+    Once,
+    /// The first panic is final (single-round solvers).
+    Never,
+}
+
+/// Runs `attempt` with panic containment, the deadline-aware entry points'
+/// shared isolation layer.
+///
+/// Each attempt records its telemetry into a private [`EventLog`] that is
+/// replayed into `obs` only when the attempt returns normally, so a
+/// panicked attempt contributes no events. Under [`Retry::Once`] a panic
+/// is followed by one `guess_retried` event and a fresh attempt; the final
+/// panic surfaces as [`EngineError::Panicked`] carrying the payload text,
+/// never as an unwind.
+pub fn contain_panics<T, O, F>(retry: Retry, obs: &mut O, mut attempt: F) -> Result<T, EngineError>
+where
+    O: Observer + ?Sized,
+    F: FnMut(&mut EventLog) -> T,
+{
+    let mut tries = match retry {
+        Retry::Once => 2,
+        Retry::Never => 1,
+    };
+    loop {
+        let mut log = EventLog::new();
+        match catch_unwind(AssertUnwindSafe(|| attempt(&mut log))) {
+            Ok(value) => {
+                log.replay(obs);
+                return Ok(value);
+            }
+            Err(payload) => {
+                tries -= 1;
+                if tries == 0 {
+                    return Err(EngineError::Panicked(panic_message(payload.as_ref())));
+                }
+                obs.guess_retried();
+            }
+        }
+    }
+}
+
+/// The classic entry points' view of a run under an uncontained,
+/// private [`Deadline::unbounded`]: such a run can neither degrade nor
+/// report a contained panic (panics propagate), so only the
+/// [`SolveError`] remains.
+pub fn classic_result<T>(result: Result<SolveOutcome<T>, EngineError>) -> Result<T, SolveError> {
+    match result {
+        Ok(SolveOutcome::Complete(value)) => Ok(value),
+        Ok(SolveOutcome::Degraded(_)) => unreachable!("an unbounded deadline cannot degrade"),
+        Err(EngineError::Solve(e)) => Err(e),
+        Err(EngineError::Panicked(_)) => unreachable!("uncontained runs re-raise panics"),
     }
 }
 
@@ -792,6 +853,75 @@ mod tests {
         assert!(panic_message(payload.as_ref()).contains("non-string"));
     }
 
+    mod containment {
+        use super::*;
+        use crate::telemetry::MetricsRecorder;
+
+        #[test]
+        fn successful_attempt_replays_its_events_once() {
+            let mut m = MetricsRecorder::new();
+            let mut calls = 0;
+            let out = contain_panics(Retry::Once, &mut m, |log| {
+                calls += 1;
+                log.benefit_computed(5);
+                7
+            });
+            assert_eq!(out, Ok(7));
+            assert_eq!(calls, 1);
+            assert_eq!(m.benefits_computed, 5);
+            assert_eq!(m.guesses_retried, 0);
+        }
+
+        #[test]
+        fn first_panic_leaves_no_events_and_is_retried_once() {
+            let mut m = MetricsRecorder::new();
+            let mut calls = 0;
+            let out = contain_panics(Retry::Once, &mut m, |log| {
+                calls += 1;
+                if calls == 1 {
+                    log.benefit_computed(100);
+                    panic!("first attempt fails");
+                }
+                log.benefit_computed(5);
+                calls
+            });
+            assert_eq!(out, Ok(2));
+            assert_eq!(m.benefits_computed, 5, "panicked attempt discarded");
+            assert_eq!(m.guesses_retried, 1);
+        }
+
+        #[test]
+        fn second_panic_is_reported_with_its_payload() {
+            let mut m = MetricsRecorder::new();
+            let mut calls = 0;
+            let out: Result<(), EngineError> = contain_panics(Retry::Once, &mut m, |log| {
+                calls += 1;
+                log.benefit_computed(1);
+                panic!("attempt {calls} fails");
+            });
+            assert_eq!(
+                out,
+                Err(EngineError::Panicked("attempt 2 fails".to_owned()))
+            );
+            assert_eq!(calls, 2);
+            assert_eq!(m.guesses_retried, 1);
+            assert_eq!(m.benefits_computed, 0);
+        }
+
+        #[test]
+        fn no_retry_mode_reports_the_first_panic() {
+            let mut m = MetricsRecorder::new();
+            let mut calls = 0;
+            let out: Result<(), EngineError> = contain_panics(Retry::Never, &mut m, |_| {
+                calls += 1;
+                panic!("round fails");
+            });
+            assert_eq!(out, Err(EngineError::Panicked("round fails".to_owned())));
+            assert_eq!(calls, 1);
+            assert_eq!(m.guesses_retried, 0);
+        }
+    }
+
     #[cfg(feature = "fault-inject")]
     mod fault {
         use super::*;
@@ -821,7 +951,7 @@ mod tests {
             let d = Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(2));
             assert!(
                 !d.tick_deterministic(),
-                "guess-addressed faults keep speculation"
+                "guess-addressed faults are not tick-addressed"
             );
             assert_eq!(d.checkpoint(), Ok(()));
             d.fault_guess(1); // wrong index: no panic

@@ -9,15 +9,16 @@
 //! (`argmax_benefit`) is the faithful-pseudocode path; this heap is the
 //! alternative strategy measured by the `lazy_greedy` ablation bench.
 //!
-//! The stale scores here are the same bound type the pruned scan path
-//! ([`PrunedScan`]) keeps per set: a last exact value that submodularity
-//! turns into a monotone non-increasing upper bound (DESIGN.md §15). The
-//! scan uses its bounds to skip exact recounts; this heap additionally
-//! exposes [`drop_below`](LazyGreedy::drop_below) to discard entries whose
-//! upper bound already fails an eligibility floor without rescoring them.
+//! The stale scores here are the same bound type the optimized pattern
+//! solvers' pruned refresh keeps per candidate (`scwsc_patterns`'s
+//! `CandidatePool` and the optimized-CMC heap): a last exact value that
+//! submodularity turns into a monotone non-increasing upper bound
+//! (DESIGN.md §15). The refresh uses its bounds to skip exact recounts;
+//! this heap additionally exposes [`drop_below`](LazyGreedy::drop_below)
+//! to discard entries whose upper bound already fails an eligibility
+//! floor without rescoring them.
 //!
 //! [`CoverState`]: crate::cover_state::CoverState
-//! [`PrunedScan`]: crate::algorithms::scan::PrunedScan
 
 use crate::engine::{Deadline, DegradeReason};
 use crate::telemetry::{NoopObserver, Observer};

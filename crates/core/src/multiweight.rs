@@ -13,7 +13,7 @@
 
 use crate::algorithms::cwsc::{cwsc, cwsc_within};
 use crate::engine::{Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome};
-use crate::parallel::{ThreadPool, Threads};
+use crate::parallel::ThreadPool;
 use crate::set_system::{coverage_target, ElementId, SetId, SetSystem};
 use crate::solution::{Solution, SolveError};
 use crate::telemetry::{pack_k_target, EventLog, NoopObserver, Observer, PhaseSpan, TraceId};
@@ -341,8 +341,7 @@ fn run_sweep_parallel<O: Observer + ?Sized>(
 /// total λs, `sets_used` = frontier size, `total_cost` = 0.
 ///
 /// Determinism: under a tick-addressed deadline (or a serial pool) λs run
-/// sequentially in order — the inner solver's scans still parallelize —
-/// so outcomes match between thread counts. Wall-clock-only deadlines on
+/// sequentially in order, so outcomes match between thread counts. Wall-clock-only deadlines on
 /// a parallel pool fan λs out (one serial solve per worker, resolved in λ
 /// order). A twice-panicking solver surfaces as
 /// [`MultiWeightError::Faulted`].
@@ -358,7 +357,7 @@ pub fn pareto_sweep_within<O: Observer + ?Sized>(
     obs.trace_started(sweep_trace_id(system, k, coverage_fraction), "pareto_sweep");
     let sweep_span = PhaseSpan::enter(obs, PHASE_SWEEP);
     let result = if pool.is_serial() || deadline.tick_deterministic() {
-        run_sweep_within(system, k, coverage_fraction, lambdas, pool, deadline, obs)
+        run_sweep_within(system, k, coverage_fraction, lambdas, deadline, obs)
     } else {
         run_sweep_within_parallel(system, k, coverage_fraction, lambdas, pool, deadline, obs)
     };
@@ -399,13 +398,11 @@ fn sweep_outcome<O: Observer + ?Sized>(
 }
 
 /// Sequential deadline-aware sweep body: λs in order, shared deadline.
-#[allow(clippy::too_many_arguments)]
 fn run_sweep_within<O: Observer + ?Sized>(
     system: &MultiWeightSystem,
     k: usize,
     coverage_fraction: f64,
     lambdas: &[Vec<f64>],
-    pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<Vec<ParetoPoint>>, MultiWeightError> {
@@ -420,7 +417,7 @@ fn run_sweep_within<O: Observer + ?Sized>(
         let scalar = system.scalarize(lambda);
         scalarize_span.exit(obs);
         let scalar = scalar?;
-        match cwsc_within(&scalar, k, coverage_fraction, pool, deadline, obs) {
+        match cwsc_within(&scalar, k, coverage_fraction, deadline, obs) {
             Ok(SolveOutcome::Complete(solution)) => {
                 let weights = system.aggregate(solution.sets());
                 points.push(ParetoPoint {
@@ -478,11 +475,9 @@ fn run_sweep_within_parallel<O: Observer + ?Sized>(
             Ok(scalar) => scalar,
             Err(e) => return (log, LambdaOutcome::Error(e)),
         };
-        // Each task solves serially (the pool's workers are busy with
-        // sibling λs); cwsc_within supplies catch_unwind containment.
-        let serial = ThreadPool::new(Threads::serial());
-        let outcome = match cwsc_within(&scalar, k, coverage_fraction, &serial, deadline, &mut log)
-        {
+        // Each task solves on its worker; cwsc_within supplies the panic
+        // containment.
+        let outcome = match cwsc_within(&scalar, k, coverage_fraction, deadline, &mut log) {
             Ok(SolveOutcome::Complete(solution)) => {
                 let weights = system.aggregate(solution.sets());
                 LambdaOutcome::Point(Box::new(ParetoPoint {

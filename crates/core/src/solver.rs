@@ -171,7 +171,8 @@ pub trait Solver: Send + Sync {
 
     /// Runs one query. Degraded outcomes must arrive with
     /// [`Answer::certified`] populated by an independent re-check of the
-    /// certificate.
+    /// certificate. `pool` is there for implementations with independent
+    /// work to fan out; the built-in instances solve on the calling thread.
     fn solve(
         &self,
         query: &Query,
@@ -216,7 +217,7 @@ impl Solver for SystemInstance {
     fn solve(
         &self,
         query: &Query,
-        pool: &ThreadPool,
+        _pool: &ThreadPool,
         deadline: &Deadline,
         obs: &mut dyn Observer,
     ) -> Result<SolveOutcome<Answer>, EngineError> {
@@ -232,8 +233,7 @@ impl Solver for SystemInstance {
             Algorithm::Cwsc => {
                 let target =
                     crate::set_system::coverage_target(self.system.num_elements(), query.coverage);
-                let outcome =
-                    cwsc_within(&self.system, query.k, query.coverage, pool, deadline, obs)?;
+                let outcome = cwsc_within(&self.system, query.k, query.coverage, deadline, obs)?;
                 Ok(match outcome {
                     SolveOutcome::Complete(s) => SolveOutcome::Complete(to_answer(&s, target)),
                     SolveOutcome::Degraded(d) => {
@@ -250,7 +250,7 @@ impl Solver for SystemInstance {
             Algorithm::Cmc => {
                 let params = query.cmc_params();
                 let target = params.coverage_target(self.system.num_elements());
-                let outcome = cmc_within(&self.system, &params, pool, deadline, obs)?;
+                let outcome = cmc_within(&self.system, &params, deadline, obs)?;
                 Ok(match outcome {
                     SolveOutcome::Complete(o) => {
                         SolveOutcome::Complete(to_answer(&o.solution, target))

@@ -9,9 +9,9 @@
 //!   canonical tie-break key and the winning margin), the per-element
 //!   **price charging** of the winner's weight across its newly covered
 //!   elements, and every degrade decision. The ledger is built purely from
-//!   the replayed event stream, so `Threads(N)` produces a ledger
-//!   bit-identical to `Threads(1)` (same record-then-replay contract as
-//!   every other observer — DESIGN.md §11/§14).
+//!   the event stream, which the serial solver cores emit identically for
+//!   any thread count, so `Threads(N)` produces a ledger bit-identical to
+//!   `Threads(1)` (DESIGN.md §11/§14).
 //! * [`certify`] — turns the final price vector into an instance-specific
 //!   **lower bound** on the optimal cost via dual-feasible scaling
 //!   (Prolubnikov's a-posteriori accuracy estimate, PAPERS.md), so a solve
@@ -46,7 +46,6 @@
 //! coverage (`C = target = n`) this degenerates to `Σ y''_e / α`.
 
 use super::{json_f64, Observer};
-use crate::bitset::BitSet;
 use crate::cover_state::{Candidate, CoverState};
 use crate::set_system::{SetId, SetSystem};
 use std::fmt::Write as _;
@@ -106,8 +105,7 @@ pub fn from_cover(c: Candidate) -> AuditCandidate {
 }
 
 /// Emits one `round_decided` event from a best-first candidate list (as
-/// produced by `CoverState::top_benefit`/`top_gain` or
-/// `scan::masked_top`) and returns the winning set id, or `None` when the
+/// produced by `CoverState::top_benefit`/`top_gain`) and returns the winning set id, or `None` when the
 /// list is empty (no eligible candidate — the greedy loop stops).
 pub fn record_cover_round<O: Observer + ?Sized>(
     obs: &mut O,
@@ -141,26 +139,6 @@ pub fn pick_cover<O: Observer + ?Sized>(
     debug_assert_eq!(newly, elems.len());
     obs.set_selected(q as u64, newly as u64, cost);
     Some((q, newly))
-}
-
-/// Charges the winner of a masked-scan round: prices the elements of
-/// `win` not yet in `covered` (the scan recounted against this same
-/// bitset, so the list length equals `win.mben`). Call *before* unioning
-/// the winner's mask into `covered`.
-pub fn charge_masked<O: Observer + ?Sized>(
-    obs: &mut O,
-    system: &SetSystem,
-    covered: &BitSet,
-    win: Candidate,
-) {
-    let elems: Vec<u32> = system
-        .members(win.id)
-        .iter()
-        .copied()
-        .filter(|&e| !covered.contains(e as usize))
-        .collect();
-    debug_assert_eq!(elems.len(), win.mben);
-    obs.price_charged(win.id as u64, &elems, win.cost.value());
 }
 
 /// The comparator level that actually decided a round, plus the winning

@@ -26,20 +26,20 @@
 //!   number of distinct span paths, not the event count), so the tree in
 //!   the dump is complete even when the ring has wrapped. Worker subtrees
 //!   attach under the span that was innermost on the main thread when the
-//!   stream switched workers — the fork point — which is what turns PR 3's
-//!   flattened shard replay back into *which thread's work caused what*.
+//!   stream switched workers — the fork point — which is what turns a
+//!   replayed multi-worker stream back into *which thread's work caused
+//!   what*.
 //!
-//! Span ids are assigned in arrival order. The event stream's replay order
-//! is deterministic (ascending shard order; see
-//! [`ThreadLocalTelemetry::replay`](super::ThreadLocalTelemetry::replay)),
-//! so ids are reproducible run-to-run for a tick-deterministic solve.
+//! Span ids are assigned in arrival order. The event stream's order is
+//! deterministic, so ids are reproducible run-to-run for a
+//! tick-deterministic solve.
 //!
 //! The dump format is line-oriented and *every* line is one valid JSON
 //! object: a header, one line per buffered event, and a trailing
 //! `{"causal_tree": …}` object — trivially greppable, trivially parseable.
 
 use super::trace::{TraceContext, TraceId, MAIN_WORKER};
-use super::{json_f64, Observer, PruneReason, PHASE_SCAN, PHASE_SCAN_PRUNE};
+use super::{json_f64, Observer, PruneReason, PHASE_SCAN_PRUNE};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io;
@@ -395,14 +395,12 @@ impl CausalNode {
         self.events + self.children.iter().map(|c| c.events_total()).sum::<u64>()
     }
 
-    /// The thread-count-invariant shape of this tree, for comparing a
-    /// parallel run against its serial twin: per-worker
-    /// [`PHASE_SCAN`] and [`PHASE_SCAN_PRUNE`] chunk spans fold into
-    /// their parent (a serial run does the same work inline, without the
-    /// span, and the pruned spans additionally come and go with
-    /// `SCWSC_PRUNE`), worker ids and span ids are zeroed (assignment
-    /// order differs when scan spans consume ids), and timings are
-    /// dropped. What remains — span names, nesting, counts, and
+    /// The run-invariant shape of this tree, for comparing two runs of the
+    /// same solve: [`PHASE_SCAN_PRUNE`] spans fold into their parent (they
+    /// come and go with `SCWSC_PRUNE`; the exact path does the same work
+    /// inline, without the span), worker ids and span ids are zeroed
+    /// (assignment order differs when such spans consume ids), and timings
+    /// are dropped. What remains — span names, nesting, counts, and
     /// deterministic event tallies — must be identical for `Threads(1)`
     /// and `Threads(N)` by the determinism contract (DESIGN.md §11).
     pub fn normalized(&self) -> CausalNode {
@@ -410,8 +408,8 @@ impl CausalNode {
         let mut children = Vec::new();
         for c in &self.children {
             let n = c.normalized();
-            if n.name == PHASE_SCAN || n.name == PHASE_SCAN_PRUNE {
-                // Fold: the chunk's work happened inline in a serial run.
+            if n.name == PHASE_SCAN_PRUNE {
+                // Fold: the exact path does this work inline.
                 events += n.events;
                 children.extend(n.children);
             } else {
@@ -728,27 +726,23 @@ mod tests {
     use crate::telemetry::{PHASE_GUESS, PHASE_TOTAL};
 
     /// Drives a little two-worker run through a recorder: a main-thread
-    /// total>guess nest with a replayed two-shard scan region inside.
+    /// total>guess nest with a replayed two-worker pruned-scan region
+    /// inside.
     fn recorded() -> FlightRecorder {
         let mut r = FlightRecorder::new();
         r.trace_started(TraceId::mint("cmc", 100, 7), "cmc");
         r.phase_started(PHASE_TOTAL);
         r.phase_started(PHASE_GUESS);
         r.benefit_computed(10);
-        // A parallel scan region replays: shard 0 → worker 1, shard 1 → 2.
-        r.worker_switched(1);
-        r.phase_started(PHASE_SCAN);
-        r.benefit_computed(4);
-        r.phase_ended(PHASE_SCAN, 0.01);
-        r.worker_switched(2);
-        r.phase_started(PHASE_SCAN);
-        r.benefit_computed(6);
-        r.phase_ended(PHASE_SCAN, 0.02);
-        // A pruned-scan chunk: carries no events (the scan's advisory
-        // counters are applied on the calling thread after the reduce).
+        // Work recorded on workers 1 and 2 replays into the stream.
         r.worker_switched(1);
         r.phase_started(PHASE_SCAN_PRUNE);
-        r.phase_ended(PHASE_SCAN_PRUNE, 0.005);
+        r.benefit_computed(4);
+        r.phase_ended(PHASE_SCAN_PRUNE, 0.01);
+        r.worker_switched(2);
+        r.phase_started(PHASE_SCAN_PRUNE);
+        r.benefit_computed(6);
+        r.phase_ended(PHASE_SCAN_PRUNE, 0.02);
         r.worker_switched(MAIN_WORKER);
         r.set_selected(3, 5, 1.0);
         r.phase_ended(PHASE_GUESS, 0.5);
@@ -763,17 +757,14 @@ mod tests {
         assert_eq!(tree.name, PHASE_TOTAL);
         assert_eq!(tree.worker_id, MAIN_WORKER);
         let guess = tree.child(PHASE_GUESS).expect("guess under total");
-        // Both workers' scan chunks aggregate under the guess fork point.
-        let scan = guess.child(PHASE_SCAN).expect("scan under guess");
+        // Both workers' chunks aggregate under the guess fork point.
+        let scan = guess
+            .child(PHASE_SCAN_PRUNE)
+            .expect("scan_prune under guess");
         assert_eq!(scan.count, 2, "two chunk completions");
         assert_eq!(scan.events, 2, "one benefit event per chunk");
         assert_eq!(scan.worker_id, 1, "first opener");
         assert!(scan.secs > 0.0);
-        let prune = guess
-            .child(PHASE_SCAN_PRUNE)
-            .expect("scan_prune under guess");
-        assert_eq!(prune.count, 1);
-        assert_eq!(prune.events, 0, "advisories never ride the chunks");
         // Main-thread events stayed on the guess span.
         assert_eq!(guess.events, 2, "benefit_computed(10) + set_selected");
         // Span ids are arrival-ordered and parents link up.
@@ -795,7 +786,7 @@ mod tests {
     #[test]
     fn normalized_folds_scans_and_strips_volatile_fields() {
         let parallel = recorded().causal_tree().normalized();
-        // The serial twin: same work, no scan spans, no worker switches.
+        // The exact twin: same work, no scan spans, no worker switches.
         let mut serial = FlightRecorder::new();
         serial.trace_started(TraceId::mint("cmc", 100, 7), "cmc");
         serial.phase_started(PHASE_TOTAL);
@@ -807,8 +798,8 @@ mod tests {
         serial.phase_ended(PHASE_GUESS, 0.4);
         serial.phase_ended(PHASE_TOTAL, 0.45);
         let expected = serial.causal_tree().normalized();
-        // Folding the per-worker scan chunks into their parent makes the
-        // parallel tree *identical* to the serial one: same names, same
+        // Folding the scan chunks into their parent makes the pruned,
+        // multi-worker tree *identical* to the exact one: same names, same
         // nesting, same completion counts, same event tallies, all
         // volatile coordinates (ids, workers, timings) stripped.
         assert_eq!(parallel, expected);

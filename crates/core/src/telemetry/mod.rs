@@ -58,7 +58,7 @@ pub mod window;
 pub use audit::{AuditCandidate, DecisionLedger, QualityCertificate};
 pub use export::{parse_prometheus, render_prometheus, render_prometheus_windowed, SloGauges};
 pub use flight::{CausalNode, FlightRecorder};
-pub use replay::{EventLog, ThreadLocalTelemetry};
+pub use replay::EventLog;
 pub use spans::{SpanCounters, SpanNode, SpanProfiler};
 pub use trace::{pack_k_target, TraceContext, TraceId, MAIN_WORKER};
 pub use watchdog::{Watchdog, WatchdogMonitor};
@@ -82,13 +82,8 @@ pub const PHASE_EXPAND: &str = "expand";
 /// Span name of a selection sweep (argmax + cover update + recount).
 pub const PHASE_SELECT: &str = "select";
 
-/// Span name of one worker's chunk of a parallel benefit scan. Emitted
-/// only on parallel paths (per-worker, nested under the enclosing round
-/// span); serial runs never produce it.
-pub const PHASE_SCAN: &str = "scan";
-
-/// Span name of one worker's chunk of a **pruned** benefit scan (the
-/// bound/sketch-gated variant of [`PHASE_SCAN`]). One-sided by design:
+/// Span name of a **pruned** benefit scan (the bound/sketch-gated
+/// refresh of the optimized CWSC's candidate list). One-sided by design:
 /// a run with `SCWSC_PRUNE=0` (or an older baseline snapshot) never
 /// produces it, which `scwsc_bench diff --attribute` labels as a "new"
 /// span rather than a mover against zero.
@@ -226,16 +221,16 @@ pub trait Observer {
     }
 
     /// A speculative budget-guess window resolved: `committed` guesses had
-    /// their telemetry committed (identical to what a serial run would
-    /// have produced) and `wasted` were cancelled or discarded. Emitted
-    /// only by parallel solvers; serial runs never fire it, so the derived
-    /// counters are deliberately **excluded** from the exact-diff set.
+    /// their telemetry committed and `wasted` were cancelled or discarded.
+    /// No solver emits it since speculative guessing was removed
+    /// (DESIGN.md §11); the derived counters stay, **excluded** from the
+    /// exact-diff set, for snapshot and benchmark compatibility.
     fn speculation(&mut self, committed: u64, wasted: u64) {
         let _ = (committed, wasted);
     }
 
     /// A budget guess panicked, was contained by the resilience engine,
-    /// and is being retried once serially. Fires only on fault/panic
+    /// and is being retried once. Fires only on fault/panic
     /// paths, which a healthy serial run never takes — so the derived
     /// counter is **excluded** from the exact-diff set, like the
     /// speculation counters.
@@ -516,14 +511,15 @@ pub struct MetricsRecorder {
     pub heap_stale_pops: u64,
     /// Inverted-index posting entries scanned during lattice expansion.
     pub postings_scanned: u64,
-    /// Speculative budget guesses whose telemetry was committed. Parallel
-    /// runs only — excluded from the exact-diff counter set, because a
-    /// serial run never speculates.
+    /// Speculative budget guesses whose telemetry was committed. No solver
+    /// speculates any more, so this reads 0; excluded from the exact-diff
+    /// counter set.
     pub guesses_committed: u64,
-    /// Speculative budget guesses cancelled or discarded. Parallel runs
-    /// only — excluded from the exact-diff counter set.
+    /// Speculative budget guesses cancelled or discarded. Reads 0, like
+    /// [`guesses_committed`](Self::guesses_committed); excluded from the
+    /// exact-diff counter set.
     pub guesses_wasted: u64,
-    /// Panicked budget guesses contained and retried serially by the
+    /// Panicked budget guesses contained and retried by the
     /// resilience engine. Fault paths only — excluded from the exact-diff
     /// counter set.
     pub guesses_retried: u64,

@@ -1,29 +1,22 @@
-//! Deterministic telemetry for parallel solvers: record-then-replay event
-//! logs and shard-then-merge observer adapters.
+//! Record-then-replay event logs.
 //!
-//! [`Observer`] is an `&mut` single-threaded interface, so parallel workers
-//! cannot report to the caller's observer directly. Two adapters bridge the
-//! gap (DESIGN.md §11):
+//! [`EventLog`] is an [`Observer`] that records every event verbatim;
+//! [`EventLog::replay`] re-emits the stream into any other observer. Two
+//! callers rely on it (DESIGN.md §11/§12):
 //!
-//! * [`EventLog`] — an [`Observer`] that records every event verbatim;
-//!   [`EventLog::replay`] re-emits the stream into any other observer.
-//!   Workers record privately and the caller replays the logs **in a
-//!   deterministic order** (ascending guess index, ascending λ index, …),
-//!   so the caller's observer sees a stream *identical* to a serial run —
-//!   for any observer type, including order-sensitive ones like
-//!   [`JsonlSink`](super::JsonlSink) and
+//! * panic containment ([`contain_panics`](crate::engine::contain_panics))
+//!   records each attempt privately and replays it only when the attempt
+//!   returns normally, so a panicked attempt leaves no events behind;
+//! * the pooled λ sweep and bench harness record one log per independent
+//!   task and replay the logs **in a deterministic order** (ascending λ
+//!   index, …), so the caller's observer sees a stream *identical* to a
+//!   serial run — for any observer type, including order-sensitive ones
+//!   like [`JsonlSink`](super::JsonlSink) and
 //!   [`SpanProfiler`](super::SpanProfiler).
-//! * [`ThreadLocalTelemetry`] — a fixed array of mutex-guarded [`EventLog`]
-//!   shards, one per worker/chunk. Each worker locks only its own shard
-//!   (no contention on the hot path); the caller replays shards in index
-//!   order afterwards. Aggregating observers can equivalently merge via
-//!   [`MetricsRecorder::merge`](super::MetricsRecorder::merge) /
-//!   [`SpanProfiler::merge`](super::SpanProfiler::merge).
 
 use super::audit::AuditCandidate;
-use super::trace::{TraceId, MAIN_WORKER};
+use super::trace::TraceId;
 use super::{Observer, PruneReason};
-use std::sync::{Mutex, MutexGuard};
 
 /// One recorded [`Observer`] event. Phase names stay `&'static str`
 /// because the trait only ever passes static span names.
@@ -212,77 +205,10 @@ impl Observer for EventLog {
     }
 }
 
-/// Per-worker telemetry shards for one parallel region.
-///
-/// Create with one shard per worker/chunk, hand shard `i` to worker `i`
-/// ([`shard`](ThreadLocalTelemetry::shard) locks only that shard, so
-/// workers never contend), then [`replay`](ThreadLocalTelemetry::replay)
-/// into the real observer once the region joins. Shards replay in index
-/// order, which is deterministic for contiguous-chunk work splits.
-#[derive(Debug, Default)]
-pub struct ThreadLocalTelemetry {
-    shards: Vec<Mutex<EventLog>>,
-}
-
-impl ThreadLocalTelemetry {
-    /// `shards` independent event logs (one per worker/chunk).
-    pub fn new(shards: usize) -> ThreadLocalTelemetry {
-        ThreadLocalTelemetry {
-            shards: (0..shards).map(|_| Mutex::new(EventLog::new())).collect(),
-        }
-    }
-
-    /// Number of shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether there are no shards.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
-    }
-
-    /// Locks shard `i` for recording. Each worker should touch only its
-    /// own index; the lock exists to make cross-thread handoff safe, not
-    /// to arbitrate contention.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range or the shard's lock was poisoned.
-    pub fn shard(&self, i: usize) -> MutexGuard<'_, EventLog> {
-        self.shards[i].lock().expect("telemetry shard poisoned")
-    }
-
-    /// Replays every shard into `obs` in ascending shard order, then
-    /// clears the shards for reuse in the next parallel region.
-    ///
-    /// Each non-empty shard's events are bracketed with
-    /// [`Observer::worker_switched`]: shard `i` announces worker `i + 1`
-    /// before its events, and the replay announces
-    /// [`MAIN_WORKER`] once at the end (only if any shard spoke), so the
-    /// receiving observer knows *which thread recorded what* instead of
-    /// seeing an anonymous flattened stream. Empty shards stay silent —
-    /// a region that did no work leaves no trace in the stream.
-    pub fn replay<O: Observer + ?Sized>(&self, obs: &mut O) {
-        let mut switched = false;
-        for (i, shard) in self.shards.iter().enumerate() {
-            let mut log = shard.lock().expect("telemetry shard poisoned");
-            if !log.is_empty() {
-                obs.worker_switched(i as u32 + 1);
-                switched = true;
-                log.replay(obs);
-                log.clear();
-            }
-        }
-        if switched {
-            obs.worker_switched(MAIN_WORKER);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::telemetry::{MetricsRecorder, PhaseSpan, SpanProfiler, PHASE_SCAN, PHASE_TOTAL};
+    use crate::telemetry::{MetricsRecorder, SpanProfiler, PHASE_TOTAL};
 
     /// Fires one of every event into `obs`.
     fn drive<O: Observer + ?Sized>(obs: &mut O) {
@@ -383,57 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn thread_local_telemetry_replays_shards_in_index_order() {
-        let tls = ThreadLocalTelemetry::new(3);
-        assert_eq!(tls.len(), 3);
-        // Record out of index order — replay must still be 0, 1, 2.
-        tls.shard(2).benefit_computed(300);
-        tls.shard(0).benefit_computed(100);
-        tls.shard(1).benefit_computed(200);
-
-        let mut log = EventLog::new();
-        tls.replay(&mut log);
-        assert_eq!(
-            log.events,
-            vec![
-                Event::WorkerSwitched(1),
-                Event::BenefitComputed(100),
-                Event::WorkerSwitched(2),
-                Event::BenefitComputed(200),
-                Event::WorkerSwitched(3),
-                Event::BenefitComputed(300),
-                Event::WorkerSwitched(MAIN_WORKER),
-            ]
-        );
-        // Shards are cleared for the next region.
-        let mut again = EventLog::new();
-        tls.replay(&mut again);
-        assert!(again.is_empty());
-    }
-
-    #[test]
-    fn replay_skips_empty_shards_and_restores_main_worker() {
-        // Only shard 1 records: the stream is switch(2), events, switch(0);
-        // idle shards 0 and 2 leave no worker announcements behind.
-        let tls = ThreadLocalTelemetry::new(3);
-        tls.shard(1).benefit_computed(7);
-        let mut log = EventLog::new();
-        tls.replay(&mut log);
-        assert_eq!(
-            log.events,
-            vec![
-                Event::WorkerSwitched(2),
-                Event::BenefitComputed(7),
-                Event::WorkerSwitched(MAIN_WORKER),
-            ]
-        );
-        // An all-idle region emits nothing at all — not even switches.
-        let mut silent = EventLog::new();
-        tls.replay(&mut silent);
-        assert!(silent.is_empty());
-    }
-
-    #[test]
     fn replay_reproduces_trace_events() {
         let mut log = EventLog::new();
         let id = crate::telemetry::TraceId::mint("cmc", 10, 20);
@@ -457,26 +332,5 @@ mod tests {
         assert_eq!(m.scan_candidates_pruned, 15);
         assert_eq!(m.scan_bounds_refreshed, 5);
         assert_eq!(m.scan_sketch_inconclusive, 2);
-    }
-
-    #[test]
-    fn thread_local_telemetry_shards_record_spans_concurrently() {
-        let tls = ThreadLocalTelemetry::new(4);
-        std::thread::scope(|s| {
-            for i in 0..4 {
-                let tls = &tls;
-                s.spawn(move || {
-                    let mut shard = tls.shard(i);
-                    let span = PhaseSpan::enter(&mut *shard, PHASE_SCAN);
-                    shard.benefit_computed(i as u64 + 1);
-                    span.exit(&mut *shard);
-                });
-            }
-        });
-        let mut m = MetricsRecorder::new();
-        tls.replay(&mut m);
-        assert_eq!(m.benefits_computed, 1 + 2 + 3 + 4);
-        let scan = m.phases().iter().find(|p| p.name == PHASE_SCAN).unwrap();
-        assert_eq!(scan.count, 4, "one scan span per shard");
     }
 }

@@ -6,25 +6,23 @@
 //! the entry's name and its instance parameters, so the same query always
 //! produces the same id (replayable post-mortems, cache-keyable traces) —
 //! and announces it with [`Observer::trace_started`](super::Observer::trace_started)
-//! just before opening its root span. Parallel regions announce which
-//! worker recorded the following events with
-//! [`Observer::worker_switched`](super::Observer::worker_switched); the
-//! shard-then-replay machinery
-//! ([`ThreadLocalTelemetry`](super::ThreadLocalTelemetry)) emits those
-//! switches automatically, so a replayed parallel run carries enough
-//! context to reconstruct *which thread's work caused what* instead of a
-//! flattened serial stream.
+//! just before opening its root span. A producer that replays events
+//! recorded on another thread announces which worker recorded them with
+//! [`Observer::worker_switched`](super::Observer::worker_switched), so the
+//! stream carries enough context to reconstruct *which thread's work
+//! caused what*. The solver cores themselves run on the calling thread
+//! and never switch workers.
 //!
 //! Span ids themselves are not carried in events: the event stream's
 //! `phase_started`/`phase_ended` nesting plus the worker annotations
 //! determine them, and consumers that need explicit ids (the
 //! [`FlightRecorder`](super::FlightRecorder)) assign them in arrival
-//! order, which is deterministic because shard replay order is.
+//! order, which is deterministic because the stream is.
 
 use std::fmt;
 
-/// The worker id of the main (calling) thread; shard `i` of a parallel
-/// region records as worker `i + 1`.
+/// The worker id of the main (calling) thread; other workers announce
+/// themselves with ids from 1.
 pub const MAIN_WORKER: u32 = 0;
 
 /// A deterministic 64-bit trace identifier minted at a solve entry point.

@@ -15,8 +15,8 @@
 //! * every windowed value is a deterministic work counter (selections,
 //!   benefit computations, degraded flags) — wall-clock durations are
 //!   deliberately excluded;
-//! * parallel runs replay their telemetry shards in deterministic order
-//!   ([`ThreadLocalTelemetry`](super::ThreadLocalTelemetry)), so a
+//! * the solver cores emit the same event stream for any thread count
+//!   (pooled callers replay per-task logs in deterministic order), so a
 //!   [`SolveWindows`] fed by a `Threads(N)` run is bit-identical to the
 //!   same solves on `Threads(1)`.
 //!

@@ -1,9 +1,9 @@
-//! Property test for the parallel execution layer's determinism contract:
-//! for randomly generated set systems, `cmc`, `cwsc`, and `pareto_sweep`
-//! on a multi-worker pool produce bit-identical solutions, costs, and
-//! exact-diff telemetry counters to the serial run. Only the speculation
-//! accounting (`guesses_committed` / `guesses_wasted`) may differ — it is
-//! gated out of the exact-diff set by design.
+//! Property test for the determinism contract across thread counts: for
+//! randomly generated set systems, `cmc_on`, `cwsc_on`, and
+//! `pareto_sweep_on` given a multi-worker pool produce bit-identical
+//! solutions, costs, and exact-diff telemetry counters to the serial run.
+//! The CMC and CWSC cores run on the calling thread whatever the pool;
+//! the λ sweep fans its independent solves out over it.
 
 use proptest::prelude::*;
 use scwsc_core::algorithms::{cmc, cmc_on, cwsc, cwsc_on, CmcParams};
@@ -32,8 +32,8 @@ fn lcg_system(num_elements: usize, num_sets: usize, seed: u64) -> SetSystem {
 }
 
 /// The exact-diff counter set: everything deterministic in
-/// [`MetricsRecorder`], excluding the speculation counters and phase
-/// timings (wall-clock is allowed to move).
+/// [`MetricsRecorder`], excluding phase timings (wall-clock is allowed to
+/// move).
 fn assert_counters_equal(serial: &MetricsRecorder, parallel: &MetricsRecorder, ctx: &str) {
     assert_eq!(parallel.guesses, serial.guesses, "{ctx}: guesses");
     assert_eq!(
@@ -104,7 +104,7 @@ proptest! {
         }
         assert_counters_equal(&sm, &pm, "cwsc");
 
-        // CMC: budget doubling with speculative parallel guessing.
+        // CMC: budget doubling, one guess at a time.
         let params = CmcParams::classic(k, coverage, 1.0);
         let mut sm = MetricsRecorder::new();
         let serial = cmc(&sys, &params, &mut sm);
@@ -118,9 +118,6 @@ proptest! {
                 s.solution.total_cost(),
                 "cmc cost"
             );
-            // Every committed speculative guess corresponds 1:1 to a
-            // serial guess; wasted guesses are extra work, never counted.
-            prop_assert_eq!(pm.guesses_committed, sm.guesses, "cmc committed");
         }
         assert_counters_equal(&sm, &pm, "cmc");
 

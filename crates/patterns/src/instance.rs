@@ -75,7 +75,7 @@ impl Solver for PatternInstance {
     fn solve(
         &self,
         query: &Query,
-        pool: &ThreadPool,
+        _pool: &ThreadPool,
         deadline: &Deadline,
         obs: &mut dyn Observer,
     ) -> Result<SolveOutcome<Answer>, EngineError> {
@@ -100,7 +100,7 @@ impl Solver for PatternInstance {
             Algorithm::Cmc => {
                 let params = query.cmc_params();
                 (
-                    opt_cmc_within(&space, &params, pool, deadline, obs)?,
+                    opt_cmc_within(&space, &params, deadline, obs)?,
                     params.coverage_target(self.table.num_rows()),
                 )
             }

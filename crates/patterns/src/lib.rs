@@ -58,9 +58,7 @@ pub use enumerate::{enumerate_all, MaterializedPatterns};
 pub use hierarchy::{enumerate_hierarchical, hier_cmc, hier_cwsc, HierarchicalSpace, Hierarchy};
 pub use index::InvertedIndex;
 pub use instance::PatternInstance;
-pub use opt_cmc::{
-    opt_cmc, opt_cmc_in, opt_cmc_in_on, opt_cmc_in_within, opt_cmc_on, opt_cmc_within,
-};
+pub use opt_cmc::{opt_cmc, opt_cmc_in, opt_cmc_in_within, opt_cmc_on, opt_cmc_within};
 pub use opt_cwsc::{
     opt_cwsc, opt_cwsc_in, opt_cwsc_in_within, opt_cwsc_with_target, opt_cwsc_within,
 };

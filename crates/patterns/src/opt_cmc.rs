@@ -29,23 +29,16 @@ use crate::space::{LatticeSpace, PatternSpace};
 use crate::table::RowId;
 use scwsc_core::algorithms::cmc::{CmcParams, Levels};
 use scwsc_core::engine::{
-    panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
+    classic_result, contain_panics, Certificate, Deadline, DegradeReason, Degraded, EngineError,
+    Retry, SolveOutcome,
 };
 use scwsc_core::parallel::prune_from_env;
 use scwsc_core::telemetry::{
-    audit, pack_k_target, EventLog, Observer, PhaseSpan, PruneReason, ThreadLocalTelemetry,
-    TraceId, PHASE_GUESS, PHASE_SCAN, PHASE_TOTAL,
+    audit, pack_k_target, Observer, PhaseSpan, PruneReason, TraceId, PHASE_GUESS, PHASE_TOTAL,
 };
-use scwsc_core::{coverage_target, BitSet, SolveError, ThreadPool};
+use scwsc_core::{BitSet, SolveError, ThreadPool};
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Minimum row-list length before a stale-pop recount fans out over the
-/// pool; below this the chunking overhead exceeds the count itself.
-const PAR_RECOUNT_MIN: usize = 4096;
-/// Minimum number of newly eligible children before their benefit
-/// recounts fan out over the pool.
-const PAR_CHILDREN_MIN: usize = 4;
 /// Maximum heap-entry staleness (in selections) served by the epoch-delta
 /// refresh; older entries fall back to a full blocked recount. Each delta
 /// round costs one `O(n/64)` intersection, so past a few rounds the full
@@ -62,7 +55,7 @@ const DELTA_MAX_ROUNDS: usize = 4;
 /// Each pattern examination (Fig. 4 lines 12 and 35), the Figure 6 metric,
 /// is reported to `obs` as a `benefit_computed` event; budget guesses
 /// arrive as `guess_started` events. Passing `&mut Stats` keeps the legacy
-/// counters.
+/// counters. Events go straight to `obs`, unbuffered.
 pub fn opt_cmc<O: Observer + ?Sized>(
     space: &PatternSpace<'_>,
     params: &CmcParams,
@@ -79,38 +72,20 @@ pub fn opt_cmc_in<S: LatticeSpace, O: Observer + ?Sized>(
     params: &CmcParams,
     obs: &mut O,
 ) -> Result<PatternSolution, SolveError> {
-    solve(space, params, None, obs)
+    classic_result(solve(space, params, &Deadline::unbounded(), false, obs))
 }
 
-/// [`opt_cmc`] with the benefit recounts run on a thread pool.
-///
-/// The lattice walk itself stays single-threaded — the heap pop order
-/// *is* the algorithm and every step mutates the shared lattice cache —
-/// so the observer event stream, the walk, and the solution are identical
-/// to [`opt_cmc`] for any thread count. The pool accelerates the two pure
-/// fan-outs inside a step: stale-pop recounts over long row lists, and
-/// the benefit scoring of a visit's newly eligible children. There is no
-/// cross-budget speculation here (each guess reuses the previous guess's
-/// lattice materializations). A serial pool delegates outright.
+/// [`opt_cmc`] with a thread-pool argument, kept for callers that thread
+/// one through. The solve runs on the calling thread; `pool` is unused —
+/// the heap pop order *is* the algorithm, so the lattice walk is serial
+/// (DESIGN.md §11).
 pub fn opt_cmc_on<O: Observer + ?Sized>(
     space: &PatternSpace<'_>,
     params: &CmcParams,
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
     obs: &mut O,
 ) -> Result<PatternSolution, SolveError> {
-    opt_cmc_in_on(space, params, pool, obs)
-}
-
-/// [`opt_cmc_in`] with the benefit recounts run on a thread pool; see
-/// [`opt_cmc_on`].
-pub fn opt_cmc_in_on<S: LatticeSpace, O: Observer + ?Sized>(
-    space: &S,
-    params: &CmcParams,
-    pool: &ThreadPool,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    let pool = if pool.is_serial() { None } else { Some(pool) };
-    solve(space, params, pool, obs)
+    opt_cmc(space, params, obs)
 }
 
 /// [`opt_cmc`] under a [`Deadline`]: the resilience-engine entry point
@@ -118,14 +93,13 @@ pub fn opt_cmc_in_on<S: LatticeSpace, O: Observer + ?Sized>(
 pub fn opt_cmc_within<O: Observer + ?Sized>(
     space: &PatternSpace<'_>,
     params: &CmcParams,
-    pool: &ThreadPool,
     deadline: &Deadline,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
-    opt_cmc_in_within(space, params, pool, deadline, obs)
+    opt_cmc_in_within(space, params, deadline, obs)
 }
 
-/// [`opt_cmc_in_on`] under a [`Deadline`], over any [`LatticeSpace`].
+/// [`opt_cmc_in`] under a [`Deadline`], over any [`LatticeSpace`].
 ///
 /// One work tick is consumed per heap pop. On expiry the patterns
 /// selected so far in the in-flight budget guess return as
@@ -134,20 +108,29 @@ pub fn opt_cmc_within<O: Observer + ?Sized>(
 /// [`verify_certificate_in`](crate::pattern_solution::verify_certificate_in)
 /// re-checks.
 ///
-/// Panic isolation: each budget guess runs under `catch_unwind` with its
-/// telemetry in a private [`EventLog`] (replayed only on completion); a
+/// Panic isolation: each budget guess runs under [`contain_panics`] — a
 /// panicked guess is retried once (counted by the `guesses_retried`
-/// telemetry event — safe because the lattice cache is append-only and
+/// telemetry event; safe because the lattice cache is append-only and
 /// budget-independent) and a second panic surfaces as
-/// [`EngineError::Panicked`]. There is no cross-guess speculation here,
-/// and the lattice walk is single-threaded (the pool only accelerates
-/// benefit recounts, which do not tick), so outcome classification and
-/// tick streams are identical for any thread count.
+/// [`EngineError::Panicked`].
 pub fn opt_cmc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     params: &CmcParams,
-    pool: &ThreadPool,
     deadline: &Deadline,
+    obs: &mut O,
+) -> Result<SolveOutcome<PatternSolution>, EngineError> {
+    solve(space, params, deadline, true, obs)
+}
+
+/// The one optimized-CMC core behind every entry point: the classic ones
+/// pass a private unbounded deadline and `contain == false` (events stream
+/// straight into `obs`, panics propagate); the `*_within` ones pass the
+/// caller's deadline and contain each guess.
+fn solve<S: LatticeSpace, O: Observer + ?Sized>(
+    space: &S,
+    params: &CmcParams,
+    deadline: &Deadline,
+    contain: bool,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
     if params.k == 0 {
@@ -158,12 +141,7 @@ pub fn opt_cmc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
         "budget growth factor b must be positive"
     );
     let n = space.num_rows();
-    let fraction = if params.discount_coverage {
-        params.coverage_fraction * scwsc_core::algorithms::CMC_COVERAGE_DISCOUNT
-    } else {
-        params.coverage_fraction
-    };
-    let target = coverage_target(n, fraction);
+    let target = params.coverage_target(n);
     if target == 0 {
         return Ok(SolveOutcome::Complete(PatternSolution {
             patterns: Vec::new(),
@@ -171,27 +149,30 @@ pub fn opt_cmc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
             total_cost: 0.0,
         }));
     }
-    let pool = if pool.is_serial() { None } else { Some(pool) };
     obs.trace_started(
         TraceId::mint("opt_cmc", n as u64, pack_k_target(params.k, target)),
         "opt_cmc",
     );
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = guess_loop_within(space, params, target, pool, deadline, obs);
+    let result = guess_loop(space, params, target, deadline, contain, obs);
     span.exit(obs);
     result
 }
 
-/// The budget-doubling loop with per-guess panic containment and deadline
-/// checkpoints; the deadline-aware twin of [`guess_loop`].
-fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
+/// The budget-doubling loop (Fig. 4 lines 01–07 and 36–37).
+fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
     params: &CmcParams,
     target: usize,
-    pool: Option<&ThreadPool>,
     deadline: &Deadline,
+    contain: bool,
     obs: &mut O,
 ) -> Result<SolveOutcome<PatternSolution>, EngineError> {
+    // Line 01: "B = cost of the k cheapest patterns". Knowing the true k
+    // cheapest patterns would itself require enumeration, so we seed with
+    // the sum of the k smallest single-record weights — a lower bound for
+    // monotone cost functions, costing at most O(log_{1+b}) extra guesses
+    // (DESIGN.md §3).
     let mut measures: Vec<f64> = space.table().measures().to_vec();
     measures.sort_unstable_by(f64::total_cmp);
     let seed: f64 = measures.iter().take(params.k).sum();
@@ -208,43 +189,33 @@ fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
 
     loop {
         guess_index += 1;
-        let attempt = |log: &mut EventLog,
-                       lattice: &mut Lattice<'_, S>,
-                       queue: &mut BucketQueue|
-         -> GuessResult {
-            log.guess_started(Some(budget));
-            let guess_span = PhaseSpan::enter(log, PHASE_GUESS);
-            deadline.fault_guess(guess_index);
-            let found = run_guess(lattice, queue, params, budget, target, pool, deadline, log);
-            guess_span.exit(log);
-            found
-        };
-        let mut log = EventLog::new();
-        let found = match catch_unwind(AssertUnwindSafe(|| {
-            attempt(&mut log, &mut lattice, &mut queue)
-        })) {
-            Ok(found) => {
-                log.replay(obs);
-                found
-            }
-            Err(_) => {
-                // Retry once: the lattice cache is append-only and
-                // budget-independent, so a half-extended cache only means
-                // fewer first-materialization events on the rerun.
-                obs.guess_retried();
-                let mut retry_log = EventLog::new();
-                match catch_unwind(AssertUnwindSafe(|| {
-                    attempt(&mut retry_log, &mut lattice, &mut queue)
-                })) {
-                    Ok(found) => {
-                        retry_log.replay(obs);
-                        found
-                    }
-                    Err(payload) => {
-                        return Err(EngineError::Panicked(panic_message(payload.as_ref())))
-                    }
-                }
-            }
+        let found = if contain {
+            // A retry reuses the lattice: its cache is append-only and
+            // budget-independent, so a half-extended cache only means
+            // fewer first-materialization events on the rerun.
+            contain_panics(Retry::Once, obs, |log| {
+                run_guess(
+                    &mut lattice,
+                    &mut queue,
+                    params,
+                    budget,
+                    target,
+                    deadline,
+                    guess_index,
+                    log,
+                )
+            })?
+        } else {
+            run_guess(
+                &mut lattice,
+                &mut queue,
+                params,
+                budget,
+                target,
+                deadline,
+                guess_index,
+                obs,
+            )
         };
         match found {
             GuessResult::Found(solution) => return Ok(SolveOutcome::Complete(solution)),
@@ -270,103 +241,12 @@ fn guess_loop_within<S: LatticeSpace, O: Observer + ?Sized>(
             }
             GuessResult::NotFound => {}
         }
-        if budget > lattice.root_cost() && budget > total_weight {
-            return Err(SolveError::BudgetExhausted.into());
-        }
-        budget *= 1.0 + params.budget_growth;
-    }
-}
-
-fn solve<S: LatticeSpace, O: Observer + ?Sized>(
-    space: &S,
-    params: &CmcParams,
-    pool: Option<&ThreadPool>,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    if params.k == 0 {
-        return Err(SolveError::ZeroSizeBound);
-    }
-    assert!(
-        params.budget_growth > 0.0,
-        "budget growth factor b must be positive"
-    );
-    let n = space.num_rows();
-    let fraction = if params.discount_coverage {
-        params.coverage_fraction * scwsc_core::algorithms::CMC_COVERAGE_DISCOUNT
-    } else {
-        params.coverage_fraction
-    };
-    let target = coverage_target(n, fraction);
-    if target == 0 {
-        return Ok(PatternSolution {
-            patterns: Vec::new(),
-            covered: 0,
-            total_cost: 0.0,
-        });
-    }
-    obs.trace_started(
-        TraceId::mint("opt_cmc", n as u64, pack_k_target(params.k, target)),
-        "opt_cmc",
-    );
-    let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let result = guess_loop(space, params, target, pool, obs);
-    span.exit(obs);
-    result
-}
-
-/// The budget-doubling loop (Fig. 4 lines 01–07 and 36–37).
-fn guess_loop<S: LatticeSpace, O: Observer + ?Sized>(
-    space: &S,
-    params: &CmcParams,
-    target: usize,
-    pool: Option<&ThreadPool>,
-    obs: &mut O,
-) -> Result<PatternSolution, SolveError> {
-    // Line 01: "B = cost of the k cheapest patterns". Knowing the true k
-    // cheapest patterns would itself require enumeration, so we seed with
-    // the sum of the k smallest single-record weights — a lower bound for
-    // monotone cost functions, costing at most O(log_{1+b}) extra guesses
-    // (DESIGN.md §3).
-    let mut measures: Vec<f64> = space.table().measures().to_vec();
-    measures.sort_unstable_by(f64::total_cmp);
-    let seed: f64 = measures.iter().take(params.k).sum();
-    let total_weight: f64 = measures.iter().sum();
-    let mut budget = if seed > 0.0 {
-        seed
-    } else {
-        measures.iter().copied().find(|&m| m > 0.0).unwrap_or(1.0)
-    };
-
-    let mut lattice = Lattice::new(space);
-    let mut queue = BucketQueue::new();
-
-    loop {
-        obs.guess_started(Some(budget));
-        // Spans stay at guess granularity here: the body's unit of work is
-        // a single heap pop, far too hot to bracket with clock reads.
-        let guess_span = PhaseSpan::enter(obs, PHASE_GUESS);
-        let found = run_guess(
-            &mut lattice,
-            &mut queue,
-            params,
-            budget,
-            target,
-            pool,
-            &Deadline::unbounded(),
-            obs,
-        );
-        guess_span.exit(obs);
-        match found {
-            GuessResult::Found(solution) => return Ok(solution),
-            GuessResult::NotFound => {}
-            GuessResult::Expired { .. } => unreachable!("unbounded deadline cannot expire"),
-        }
         // Line 37: stop once even a budget admitting every pattern failed.
         // The all-wildcards pattern is the most expensive one under any
         // lattice-monotone cost function, and a budget above the total
         // weight is a universal upper bound otherwise.
         if budget > lattice.root_cost() && budget > total_weight {
-            return Err(SolveError::BudgetExhausted);
+            return Err(SolveError::BudgetExhausted.into());
         }
         budget *= 1.0 + params.budget_growth; // line 36
     }
@@ -632,27 +512,8 @@ impl<'a, S: LatticeSpace> Lattice<'a, S> {
     }
 }
 
-/// Counts rows of `rows` not yet in `covered`, fanning out over the pool
-/// for long row lists (sum-reduction, exact for any chunking).
-fn recount(rows: &[RowId], covered: &BitSet, pool: Option<&ThreadPool>) -> usize {
-    if let Some(pool) = pool {
-        if rows.len() >= PAR_RECOUNT_MIN {
-            return pool
-                .par_chunks_reduce(
-                    rows.len(),
-                    |_, range| {
-                        Some(
-                            rows[range]
-                                .iter()
-                                .filter(|&&r| !covered.contains(r as usize))
-                                .count(),
-                        )
-                    },
-                    |a, b| a + b,
-                )
-                .unwrap_or(0);
-        }
-    }
+/// Counts rows of `rows` not yet in `covered`.
+fn recount(rows: &[RowId], covered: &BitSet) -> usize {
     rows.iter()
         .filter(|&&r| !covered.contains(r as usize))
         .count()
@@ -669,9 +530,9 @@ enum GuessResult {
     },
 }
 
-/// One budget guess (Fig. 4 lines 08–35). Consumes one `deadline` work
-/// tick per heap pop; under an unbounded deadline (the classic path) the
-/// checkpoint can never fail.
+/// One budget guess, bracketed by its `guess_started` event and
+/// `"guess"` span. Spans stay at guess granularity: the body's unit of
+/// work is a single heap pop, far too hot to bracket with clock reads.
 #[allow(clippy::too_many_arguments)]
 fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
     lattice: &mut Lattice<'_, S>,
@@ -679,7 +540,27 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
     params: &CmcParams,
     budget: f64,
     target: usize,
-    pool: Option<&ThreadPool>,
+    deadline: &Deadline,
+    guess_index: u64,
+    obs: &mut O,
+) -> GuessResult {
+    obs.guess_started(Some(budget));
+    let guess_span = PhaseSpan::enter(obs, PHASE_GUESS);
+    deadline.fault_guess(guess_index);
+    let found = walk(lattice, heap, params, budget, target, deadline, obs);
+    guess_span.exit(obs);
+    found
+}
+
+/// The lattice walk of one budget guess (Fig. 4 lines 08–35). Consumes one
+/// `deadline` work tick per heap pop; under an unbounded deadline (the
+/// classic path) the checkpoint can never fail.
+fn walk<S: LatticeSpace, O: Observer + ?Sized>(
+    lattice: &mut Lattice<'_, S>,
+    heap: &mut BucketQueue,
+    params: &CmcParams,
+    budget: f64,
+    target: usize,
     deadline: &Deadline,
     obs: &mut O,
 ) -> GuessResult {
@@ -736,10 +617,9 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
     };
     let mut rem = target; // line 14
                           // Expansion scratch, reused across pops: thousands of patterns are
-                          // visited per guess, and a fresh Vec pair per visit is pure
-                          // allocator traffic.
+                          // visited per guess, and a fresh Vec per visit is pure allocator
+                          // traffic.
     let mut eligible: Vec<u32> = Vec::new();
-    let mut mbens: Vec<usize> = Vec::new();
 
     while let Some(entry) = heap.pop() {
         if let Err(reason) = deadline.checkpoint() {
@@ -763,7 +643,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
             continue; // stale duplicate of a removed candidate
         }
         let current = if !prune {
-            recount(lattice.rows_of(entry.id), &covered, pool)
+            recount(lattice.rows_of(entry.id), &covered)
         } else if entry.epoch == epoch {
             // Coverage only grows at selections, so an entry pushed this
             // epoch is provably current — skip the recount outright.
@@ -773,7 +653,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
             // Short row list: the postings recount beats every
             // mask-based path, and no mask is ever materialized.
             obs.bound_refreshed(1);
-            recount(lattice.rows_of(entry.id), &covered, None)
+            recount(lattice.rows_of(entry.id), &covered)
         } else if epoch - entry.epoch <= DELTA_MAX_ROUNDS {
             // Exact delta: the per-selection newly sets are disjoint, so
             // the entry's stale count minus its overlap with each newer
@@ -792,7 +672,7 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
         };
         debug_assert_eq!(
             current,
-            recount(lattice.rows_of(entry.id), &covered, None),
+            recount(lattice.rows_of(entry.id), &covered),
             "pruned refresh is exact"
         );
         if current == 0 {
@@ -922,48 +802,9 @@ fn run_guess<S: LatticeSpace, O: Observer + ?Sized>(
                 eligible.push(child_id);
             }
             // Line 35: compute Cost(m) and MBen(m) for each eligible
-            // child — served from the lattice cache, the benefit recounts
-            // fanned out over the pool. Each worker chunk brackets its
-            // recounts in a `scan` span recorded into a telemetry shard,
-            // replayed here so the spans nest under the open guess span;
-            // counter events fire in child order below, identical to
-            // scoring inline.
-            mbens.clear();
-            match pool {
-                Some(pool) if eligible.len() >= PAR_CHILDREN_MIN => {
-                    let spans = &lattice.rows;
-                    let arena = &lattice.row_arena;
-                    let covered = &covered;
-                    let per_chunk = eligible.len().div_ceil(pool.threads());
-                    let chunks: Vec<(usize, &[u32])> =
-                        eligible.chunks(per_chunk).enumerate().collect();
-                    let tls = ThreadLocalTelemetry::new(chunks.len());
-                    let scored = pool.par_map(&chunks, |&(idx, chunk)| {
-                        let mut shard = tls.shard(idx);
-                        let span = PhaseSpan::enter(&mut *shard, PHASE_SCAN);
-                        let mbens: Vec<usize> = chunk
-                            .iter()
-                            .map(|&cid| {
-                                let (off, len) = spans[cid as usize];
-                                arena[off as usize..off as usize + len as usize]
-                                    .iter()
-                                    .filter(|&&r| !covered.contains(r as usize))
-                                    .count()
-                            })
-                            .collect();
-                        span.exit(&mut *shard);
-                        mbens
-                    });
-                    tls.replay(obs);
-                    mbens.extend(scored.into_iter().flatten());
-                }
-                _ => mbens.extend(
-                    eligible
-                        .iter()
-                        .map(|&cid| recount(lattice.rows_of(cid), &covered, pool)),
-                ),
-            };
-            for (&child_id, &child_mben) in eligible.iter().zip(&mbens) {
+            // child — the cost served from the lattice cache.
+            for &child_id in &eligible {
+                let child_mben = recount(lattice.rows_of(child_id), &covered);
                 let cid = child_id as usize;
                 // One "considered" event per guess, matching what Fig. 4
                 // would compute.
@@ -1099,7 +940,7 @@ mod tests {
     use crate::enumerate::enumerate_all;
     use crate::table::Table;
     use scwsc_core::algorithms::{cmc, CMC_COVERAGE_DISCOUNT};
-    use scwsc_core::Stats;
+    use scwsc_core::{coverage_target, Stats};
 
     fn entities() -> Table {
         let mut b = Table::builder(&["Type", "Location"], "Cost");
@@ -1239,8 +1080,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_recounts_match_serial_exactly() {
-        use scwsc_core::{MetricsRecorder, ThreadPool, Threads};
+    fn pool_argument_does_not_change_the_run() {
+        use scwsc_core::{MetricsRecorder, Threads};
         let t = crate::test_util::skewed_table(600, 4, 7);
         let sp = PatternSpace::new(&t, CostFn::Max);
         let params = CmcParams::classic(8, 0.4, 1.0);
@@ -1270,7 +1111,7 @@ mod tests {
         use super::*;
         use crate::pattern_solution::verify_certificate_in;
         use scwsc_core::engine::{Deadline, DegradeReason, SolveOutcome};
-        use scwsc_core::{MetricsRecorder, ThreadPool, Threads};
+        use scwsc_core::MetricsRecorder;
 
         #[test]
         fn unbounded_deadline_matches_plain_opt_cmc() {
@@ -1278,36 +1119,30 @@ mod tests {
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(2, 9.0 / 16.0, 1.0);
             let plain = opt_cmc(&sp, &params, &mut Stats::new()).unwrap();
-            for threads in [1, 4] {
-                let pool = ThreadPool::new(Threads::new(threads));
-                let out = opt_cmc_within(
-                    &sp,
-                    &params,
-                    &pool,
-                    &Deadline::unbounded(),
-                    &mut MetricsRecorder::new(),
-                )
-                .unwrap();
-                assert_eq!(out.expect_complete("unbounded"), plain);
-            }
+            let out = opt_cmc_within(
+                &sp,
+                &params,
+                &Deadline::unbounded(),
+                &mut MetricsRecorder::new(),
+            )
+            .unwrap();
+            assert_eq!(out.expect_complete("unbounded"), plain);
         }
 
         #[test]
-        fn tick_budget_degrades_identically_across_thread_counts() {
+        fn tick_budget_degrades_deterministically() {
             let t = entities();
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(2, 1.0, 1.0);
             for budget in [0u64, 3, 10, 25] {
-                let run = |threads: usize| {
-                    let pool = ThreadPool::new(Threads::new(threads));
+                let run = || {
                     let deadline = Deadline::unbounded().with_tick_budget(budget);
-                    let out =
-                        opt_cmc_within(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                            .unwrap();
+                    let out = opt_cmc_within(&sp, &params, &deadline, &mut MetricsRecorder::new())
+                        .unwrap();
                     (out, deadline.ticks())
                 };
-                let serial = run(1);
-                assert_eq!(serial, run(4), "budget {budget}");
+                let serial = run();
+                assert_eq!(serial, run(), "budget {budget}");
                 if let SolveOutcome::Degraded(d) = serial.0 {
                     assert_eq!(d.certificate.reason, DegradeReason::TickBudget);
                     let check = verify_certificate_in(&sp, &d.partial, &d.certificate);
@@ -1321,10 +1156,8 @@ mod tests {
             let t = entities();
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(3, 0.8, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_tick_budget(0);
-            let out = opt_cmc_within(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                .unwrap();
+            let out = opt_cmc_within(&sp, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("zero ticks must degrade");
             };
@@ -1338,7 +1171,7 @@ mod tests {
         use super::*;
         use crate::pattern_solution::verify_certificate_in;
         use scwsc_core::engine::{Deadline, EngineError, FaultPlan, SolveOutcome};
-        use scwsc_core::{MetricsRecorder, ThreadPool, Threads};
+        use scwsc_core::MetricsRecorder;
 
         #[test]
         fn one_shot_guess_panic_is_retried_to_completion() {
@@ -1346,11 +1179,10 @@ mod tests {
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(2, 9.0 / 16.0, 1.0);
             let clean = opt_cmc(&sp, &params, &mut Stats::new()).unwrap();
-            let pool = ThreadPool::new(Threads::serial());
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
             let mut m = MetricsRecorder::new();
-            let out = opt_cmc_within(&sp, &params, &pool, &deadline, &mut m).unwrap();
+            let out = opt_cmc_within(&sp, &params, &deadline, &mut m).unwrap();
             assert_eq!(out.expect_complete("retry completes"), clean);
             assert_eq!(m.guesses_retried, 1);
         }
@@ -1360,10 +1192,9 @@ mod tests {
             let t = entities();
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(2, 0.5, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
-            let err = opt_cmc_within(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                .unwrap_err();
+            let err =
+                opt_cmc_within(&sp, &params, &deadline, &mut MetricsRecorder::new()).unwrap_err();
             assert!(matches!(err, EngineError::Panicked(_)));
         }
 
@@ -1373,11 +1204,9 @@ mod tests {
             let t = entities();
             let sp = PatternSpace::new(&t, CostFn::Max);
             let params = CmcParams::classic(2, 1.0, 1.0);
-            let pool = ThreadPool::new(Threads::serial());
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().cancel_at_tick(4));
-            let out = opt_cmc_within(&sp, &params, &pool, &deadline, &mut MetricsRecorder::new())
-                .unwrap();
+            let out = opt_cmc_within(&sp, &params, &deadline, &mut MetricsRecorder::new()).unwrap();
             let SolveOutcome::Degraded(d) = out else {
                 panic!("cancel at tick 4 must degrade");
             };

@@ -19,17 +19,17 @@ use crate::pattern::Pattern;
 use crate::pattern_solution::PatternSolution;
 use crate::space::{LatticeSpace, PatternSpace};
 use scwsc_core::engine::{
-    panic_message, Certificate, Deadline, DegradeReason, Degraded, EngineError, SolveOutcome,
+    contain_panics, Certificate, Deadline, DegradeReason, Degraded, EngineError, Retry,
+    SolveOutcome,
 };
 use scwsc_core::parallel::prune_from_env;
 use scwsc_core::telemetry::{
-    audit, pack_k_target, EventLog, Observer, PhaseSpan, PruneReason, TraceId, PHASE_EXPAND,
+    audit, pack_k_target, Observer, PhaseSpan, PruneReason, TraceId, PHASE_EXPAND,
     PHASE_SCAN_PRUNE, PHASE_SELECT, PHASE_TOTAL,
 };
 use scwsc_core::{coverage_target, BitSet, SolveError};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// Runs the optimized CWSC (Fig. 3): at most `k` patterns covering at
 /// least `⌈coverage_fraction·n⌉` records of the space's table.
@@ -143,9 +143,9 @@ pub fn opt_cwsc_within<O: Observer + ?Sized>(
 /// [`Certificate`] that
 /// [`verify_certificate_in`](crate::pattern_solution::verify_certificate_in)
 /// re-checks (`quotas_exhausted` is always empty — Fig. 3 has no cost
-/// levels). The single round runs under `catch_unwind` with its telemetry
-/// in a private [`EventLog`] (replayed only on normal completion); a
-/// panic surfaces as [`EngineError::Panicked`]. The walk is
+/// levels). The single round runs under [`contain_panics`] with
+/// [`Retry::Never`]: its telemetry is replayed only on normal completion,
+/// and a panic surfaces as [`EngineError::Panicked`]. The walk is
 /// single-threaded, so tick streams are identical across thread counts.
 pub fn opt_cwsc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
     space: &S,
@@ -173,37 +173,30 @@ pub fn opt_cwsc_in_within<S: LatticeSpace, O: Observer + ?Sized>(
         "opt_cwsc",
     );
     let span = PhaseSpan::enter(obs, PHASE_TOTAL);
-    let mut log = EventLog::new();
-    let caught = catch_unwind(AssertUnwindSafe(|| {
-        run_in(space, k, target, deadline, &mut log)
-    }));
-    let result = match caught {
-        Ok(round) => {
-            log.replay(obs);
-            match round {
-                PatternRound::Done(result) => result
-                    .map(SolveOutcome::Complete)
-                    .map_err(EngineError::Solve),
-                PatternRound::Expired { partial, reason } => {
-                    obs.degrade_decided(reason.as_str(), partial.covered as u64, target as u64);
-                    let certificate = Certificate {
-                        sets_used: partial.size(),
-                        covered: partial.covered,
-                        target,
-                        total_cost: partial.total_cost,
-                        quotas_exhausted: Vec::new(),
-                        ticks: deadline.ticks(),
-                        reason,
-                    };
-                    Ok(SolveOutcome::Degraded(Degraded {
-                        partial,
-                        certificate,
-                    }))
-                }
-            }
+    let round = contain_panics(Retry::Never, obs, |log| {
+        run_in(space, k, target, deadline, log)
+    });
+    let result = round.and_then(|round| match round {
+        PatternRound::Done(result) => result
+            .map(SolveOutcome::Complete)
+            .map_err(EngineError::Solve),
+        PatternRound::Expired { partial, reason } => {
+            obs.degrade_decided(reason.as_str(), partial.covered as u64, target as u64);
+            let certificate = Certificate {
+                sets_used: partial.size(),
+                covered: partial.covered,
+                target,
+                total_cost: partial.total_cost,
+                quotas_exhausted: Vec::new(),
+                ticks: deadline.ticks(),
+                reason,
+            };
+            Ok(SolveOutcome::Degraded(Degraded {
+                partial,
+                certificate,
+            }))
         }
-        Err(payload) => Err(EngineError::Panicked(panic_message(payload.as_ref()))),
-    };
+    });
     span.exit(obs);
     result
 }

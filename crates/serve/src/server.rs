@@ -27,12 +27,18 @@ use crate::dispatch::ServerState;
 use crate::protocol::{Request, Response};
 #[cfg(feature = "fault-inject")]
 use scwsc_core::FaultPlan;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Longest request line (newline included) a connection buffers. A client
+/// that sends more without a newline gets one `error` reply and is
+/// disconnected, so an unterminated line cannot grow server memory
+/// without limit.
+const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Cooperative shutdown signal shared between the accept loop, the
 /// signal handler, and tests.
@@ -249,7 +255,7 @@ impl Connection {
             Err(_) => return,
         });
         let mut writer = stream;
-        let mut line = String::new();
+        let mut line: Vec<u8> = Vec::new();
         loop {
             if self.state.draining() || self.shutdown.raised() || SIGNALLED.load(Ordering::SeqCst) {
                 return;
@@ -257,11 +263,17 @@ impl Connection {
             // `line` accumulates across reads: a request can arrive in
             // several segments (writeln! flushes the payload and the
             // newline separately), and the read timeout fires between
-            // them. A timeout with a partial line keeps the partial.
-            match reader.read_line(&mut line) {
-                Ok(0) if line.is_empty() => return,         // EOF: client closed
-                Ok(0) => {}                                 // EOF flushes a final unterminated line
-                Ok(_) if !line.ends_with('\n') => continue, // mid-line EOF race: keep reading
+            // them. A timeout with a partial line keeps the partial. The
+            // `take` caps the line at MAX_REQUEST_LINE bytes.
+            let room = (MAX_REQUEST_LINE - line.len()) as u64;
+            match (&mut reader).take(room).read_until(b'\n', &mut line) {
+                Ok(_) if line.len() >= MAX_REQUEST_LINE && !line.ends_with(b"\n") => {
+                    self.reject_oversized_line(&mut writer);
+                    return;
+                }
+                Ok(0) if line.is_empty() => return, // EOF: client closed
+                Ok(0) => {}                         // EOF flushes a final unterminated line
+                Ok(_) if !line.ends_with(b"\n") => continue, // mid-line EOF race: keep reading
                 Ok(_) => {}
                 Err(e)
                     if e.kind() == std::io::ErrorKind::WouldBlock
@@ -271,7 +283,10 @@ impl Connection {
                 }
                 Err(_) => return,
             }
-            if line.trim().is_empty() {
+            let Ok(text) = std::str::from_utf8(&line) else {
+                return; // not UTF-8: the protocol is JSON text
+            };
+            if text.trim().is_empty() {
                 line.clear();
                 continue;
             }
@@ -284,7 +299,7 @@ impl Connection {
                 // part of this caller's end-to-end time, not the solve's.
                 std::thread::sleep(stall);
             }
-            let response = match Request::parse(line.trim_end(), seq) {
+            let response = match Request::parse(text.trim_end(), seq) {
                 Ok(request) => self.state.dispatch(&request),
                 Err(message) => {
                     self.state.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -308,6 +323,21 @@ impl Connection {
                 return;
             }
             line.clear();
+        }
+    }
+
+    /// Answers a request line that hit [`MAX_REQUEST_LINE`] without a
+    /// newline: one `error` reply (counted in `errors`), after which the
+    /// caller closes the connection — the rest of the line is never read.
+    fn reject_oversized_line(&self, writer: &mut TcpStream) {
+        let seq = self.read_seq.fetch_add(1, Ordering::Relaxed) + 1;
+        self.requests_read.fetch_add(1, Ordering::Relaxed);
+        self.state.counters.errors.fetch_add(1, Ordering::Relaxed);
+        let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+        let mut out = Response::error(seq, message).to_line();
+        out.push('\n');
+        if writer.write_all(out.as_bytes()).is_err() {
+            self.failed_writes.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -414,6 +444,45 @@ mod tests {
         let summary = handle.join().unwrap();
         assert_eq!(summary.errors, 1);
         assert_eq!(summary.complete, 1);
+    }
+
+    #[test]
+    fn oversized_request_line_gets_one_error_and_the_connection_closes() {
+        let (addr, shutdown, handle) = boot(ServerConfig::default(), ServeOptions::default());
+        let mut flood = TcpStream::connect(addr).unwrap();
+        // 1 MiB without a newline. The server stops reading at the cap
+        // and hangs up, so the tail of this write may fail; only what
+        // comes back matters.
+        let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+        let mut reader = BufReader::new(flood.try_clone().unwrap());
+        let mut replies = Vec::new();
+        let mut line = String::new();
+        loop {
+            line.clear();
+            match reader.read_line(&mut line) {
+                Ok(0) => break,
+                Ok(_) => replies.push(Response::parse(line.trim_end()).unwrap()),
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    continue
+                }
+                Err(_) => break, // reset: the server closed with input unread
+            }
+        }
+        assert_eq!(replies.len(), 1, "exactly one reply: {replies:?}");
+        assert_eq!(replies[0].status, crate::protocol::Status::Error);
+        // A fresh connection is still served.
+        let mut fresh = TcpStream::connect(addr).unwrap();
+        let resp = roundtrip(&mut fresh, &Request::new(2, Query::cwsc(2, 0.8)));
+        assert_eq!(resp.status, crate::protocol::Status::Complete);
+        drop(fresh);
+        shutdown.raise();
+        let summary = handle.join().unwrap();
+        assert_eq!(summary.errors, 1, "the rejected line counts as an error");
+        assert_eq!(summary.complete, 1);
+        assert!(summary.drained_clean);
     }
 
     #[cfg(feature = "fault-inject")]

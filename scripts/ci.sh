@@ -17,6 +17,9 @@ fi
 
 cargo build --release
 cargo test -q
+# The benchmark binary compiles against the workspace crates from its own
+# package; its self-tests fail here when an API it uses changes.
+cargo test -q --manifest-path perfbench/Cargo.toml
 cargo fmt --check
 cargo clippy --workspace -- -D warnings
 
@@ -31,9 +34,10 @@ cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   diff BENCH_seed.json target/BENCH_ci.json --counters-only
 
 # Parallel determinism gate: the same smoke suite on 4 worker threads must
-# reproduce the serial deterministic counters exactly (DESIGN.md §11) —
-# this is the end-to-end check that chunked scans, speculative budget
-# guessing, and telemetry replay leave the event stream bit-identical.
+# reproduce the serial deterministic counters exactly (DESIGN.md §11). The
+# solver cores are serial whatever the pool, so this guards what still
+# fans out — the multi-weight λ sweep and the bench harness — and that a
+# thread count never reaches a solver's event stream.
 SCWSC_THREADS=4 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \
   record --quick --suite smoke --label ci-t4 --out target/BENCH_ci_t4.json
 SCWSC_THREADS=1 cargo run --release -q -p scwsc-bench --bin scwsc_bench -- \

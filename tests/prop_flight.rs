@@ -14,9 +14,10 @@ use scwsc::prelude::*;
 use scwsc::sets::algorithms::cmc_within;
 use scwsc::sets::telemetry::pack_k_target;
 use scwsc::sets::{
-    coverage_target, Deadline, EngineError, FlightRecorder, SolveOutcome, ThreadPool, Threads,
-    TraceId,
+    coverage_target, Answer, Deadline, EngineError, FlightRecorder, Query, SolveOutcome, Solver,
+    SystemInstance, ThreadPool, Threads, TraceId,
 };
+use std::sync::Arc;
 
 /// A random small set system that always contains a universe set, so
 /// every instance is feasible and the solve reaches its main loop.
@@ -37,21 +38,19 @@ fn arb_system() -> impl Strategy<Value = SetSystem> {
     })
 }
 
-/// Runs CMC on `threads` workers with a fresh recorder attached and
-/// returns both the outcome and the recorder.
+/// Solves one CMC query through the serving-layer [`Solver`] — the API
+/// that still takes a thread pool — on `threads` workers with a fresh
+/// recorder attached, and returns both the outcome and the recorder.
 fn recorded_cmc(
     system: &SetSystem,
-    params: &CmcParams,
+    query: &Query,
     threads: Threads,
-    ticks: u64,
-) -> (
-    Result<SolveOutcome<scwsc::sets::algorithms::CmcOutcome>, EngineError>,
-    FlightRecorder,
-) {
+    deadline: Deadline,
+) -> (Result<SolveOutcome<Answer>, EngineError>, FlightRecorder) {
+    let instance = SystemInstance::new(Arc::new(system.clone()));
     let pool = ThreadPool::new(threads);
-    let deadline = Deadline::unbounded().with_tick_budget(ticks);
     let mut flight = FlightRecorder::new();
-    let outcome = cmc_within(system, params, &pool, &deadline, &mut flight);
+    let outcome = instance.solve(query, &pool, &deadline, &mut flight);
     (outcome, flight)
 }
 
@@ -93,17 +92,15 @@ proptest! {
         coverage in 0.1f64..=1.0,
         ticks in 0u64..150,
     ) {
-        let params = CmcParams::classic(k, coverage, 0.5);
-        let (serial, t1) = recorded_cmc(&system, &params, Threads::serial(), ticks);
-        let (parallel, t4) = recorded_cmc(&system, &params, Threads::new(4), ticks);
+        let query = Query { b: 0.5, ..Query::cmc(k, coverage) };
+        let deadline = || Deadline::unbounded().with_tick_budget(ticks);
+        let (serial, t1) = recorded_cmc(&system, &query, Threads::serial(), deadline());
+        let (parallel, t4) = recorded_cmc(&system, &query, Threads::new(4), deadline());
         prop_assert_eq!(&serial, &parallel, "outcome is thread-count invariant");
 
-        // Classic params discount the coverage target (Fig. 1 line 06),
-        // so the mint's target word uses the discounted fraction.
-        let target = coverage_target(
-            system.num_elements(),
-            params.coverage_fraction * CMC_COVERAGE_DISCOUNT,
-        );
+        // CMC queries discount the coverage target (Fig. 1 line 06), so
+        // the mint's target word uses the discounted fraction.
+        let target = coverage_target(system.num_elements(), coverage * CMC_COVERAGE_DISCOUNT);
         if target > 0 {
             // The solve reached its entry mint: both recorders latched
             // the same deterministic id, reproducible from the inputs.
@@ -140,10 +137,9 @@ proptest! {
         ticks in 0u64..150,
     ) {
         let params = CmcParams::classic(k, 0.8, 0.5);
-        let pool = ThreadPool::new(Threads::serial());
         let run = |flight: &mut FlightRecorder| {
             let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cmc_within(&system, &params, &pool, &deadline, flight)
+            cmc_within(&system, &params, &deadline, flight)
         };
         let mut small = FlightRecorder::with_capacity(8);
         let mut big = FlightRecorder::new();
@@ -183,14 +179,14 @@ mod faults {
     #[test]
     fn faulted_parallel_tree_matches_faulted_serial_tree() {
         let system = acceptance_system();
-        let params = CmcParams::classic(3, 0.75, 0.5);
+        let query = Query {
+            b: 0.5,
+            ..Query::cmc(3, 0.75)
+        };
         let run = |threads: Threads| {
-            let pool = ThreadPool::new(threads);
             let deadline =
                 Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
-            let mut flight = FlightRecorder::new();
-            let outcome = cmc_within(&system, &params, &pool, &deadline, &mut flight);
-            (outcome, flight)
+            recorded_cmc(&system, &query, threads, deadline)
         };
         let (serial, t1) = run(Threads::serial());
         let (parallel, t4) = run(Threads::new(4));
@@ -211,10 +207,9 @@ mod faults {
     fn persistent_fault_still_dumps_with_latched_trace_id() {
         let system = acceptance_system();
         let params = CmcParams::classic(3, 0.75, 0.5);
-        let pool = ThreadPool::new(Threads::new(4));
         let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
         let mut flight = FlightRecorder::new();
-        let err = cmc_within(&system, &params, &pool, &deadline, &mut flight)
+        let err = cmc_within(&system, &params, &deadline, &mut flight)
             .expect_err("persistent fault must fail");
         assert!(matches!(err, EngineError::Panicked(_)));
         let target = coverage_target(

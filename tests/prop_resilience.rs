@@ -4,8 +4,7 @@
 //! schedule, every deadline-aware solver returns a structured outcome —
 //! `Ok(Complete)`, `Ok(Degraded)` with a certificate that independently
 //! verifies, or `Err(Solve | Panicked)` — and never panics or hangs.
-//! In tick-deterministic mode the full outcome is identical for
-//! `Threads(1)` and `Threads(4)`.
+//! The full outcome is identical for `Threads(1)` and `Threads(4)`.
 
 use proptest::prelude::*;
 use scwsc::patterns::{
@@ -13,7 +12,11 @@ use scwsc::patterns::{
 };
 use scwsc::prelude::*;
 use scwsc::sets::algorithms::{cmc_within, cwsc_within};
-use scwsc::sets::{verify_certificate, Deadline, EngineError, SolveOutcome, ThreadPool, Threads};
+use scwsc::sets::{
+    verify_certificate, Answer, Deadline, EngineError, Query, SolveOutcome, Solver, SystemInstance,
+    ThreadPool, Threads,
+};
+use std::sync::Arc;
 
 /// A random small set system that always contains a universe set, so
 /// every instance is feasible and `Err(Solve)` outcomes are rare.
@@ -52,6 +55,23 @@ fn arb_table() -> impl Strategy<Value = Table> {
     })
 }
 
+/// Solves `query` through the serving-layer [`Solver`] — the API that
+/// still takes a thread pool — on `threads` workers.
+fn solve_on(
+    system: &SetSystem,
+    query: &Query,
+    threads: Threads,
+    deadline: &Deadline,
+) -> Result<SolveOutcome<Answer>, EngineError> {
+    let instance = SystemInstance::new(Arc::new(system.clone()));
+    instance.solve(
+        query,
+        &ThreadPool::new(threads),
+        deadline,
+        &mut NoopObserver,
+    )
+}
+
 /// Asserts the engine contract on a set-system outcome: complete values
 /// are taken at face value (covered elsewhere by the algorithm property
 /// tests), degraded certificates must verify against the partial
@@ -84,9 +104,8 @@ proptest! {
         ticks in 0u64..200,
     ) {
         let params = CmcParams::classic(k, coverage, 0.5);
-        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match cmc_within(&system, &params, &pool, &deadline, &mut NoopObserver) {
+        match cmc_within(&system, &params, &deadline, &mut NoopObserver) {
             Ok(outcome) => {
                 check_set_outcome(&system, &outcome.value().solution, &outcome);
             }
@@ -105,9 +124,8 @@ proptest! {
         coverage in 0.1f64..=1.0,
         ticks in 0u64..100,
     ) {
-        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match cwsc_within(&system, k, coverage, &pool, &deadline, &mut NoopObserver) {
+        match cwsc_within(&system, k, coverage, &deadline, &mut NoopObserver) {
             Ok(outcome) => {
                 check_set_outcome(&system, outcome.value(), &outcome);
             }
@@ -118,9 +136,10 @@ proptest! {
         }
     }
 
-    /// Determinism contract: a tick-addressed deadline disables
-    /// speculation, so `Threads(1)` and `Threads(4)` produce *identical*
-    /// outcomes — same classification, same partial, same tick count.
+    /// Determinism contract: the CMC core is serial whatever pool the
+    /// caller holds, so `Threads(1)` and `Threads(4)` produce *identical*
+    /// outcomes — same classification, same partial, same certificate
+    /// (including its tick count).
     #[test]
     fn cmc_outcome_is_thread_count_invariant(
         system in arb_system(),
@@ -128,38 +147,27 @@ proptest! {
         coverage in 0.1f64..=1.0,
         ticks in 0u64..120,
     ) {
-        let params = CmcParams::classic(k, coverage, 0.5);
-        let serial = {
-            let pool = ThreadPool::new(Threads::serial());
+        let query = Query { b: 0.5, ..Query::cmc(k, coverage) };
+        let run = |threads| {
             let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cmc_within(&system, &params, &pool, &deadline, &mut NoopObserver)
+            solve_on(&system, &query, threads, &deadline)
         };
-        let parallel = {
-            let pool = ThreadPool::new(Threads::new(4));
-            let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cmc_within(&system, &params, &pool, &deadline, &mut NoopObserver)
-        };
-        prop_assert_eq!(serial, parallel);
+        prop_assert_eq!(run(Threads::serial()), run(Threads::new(4)));
     }
 
-    /// Same determinism contract for CWSC's parallel benefit scans.
+    /// Same determinism contract for CWSC.
     #[test]
     fn cwsc_outcome_is_thread_count_invariant(
         system in arb_system(),
         k in 1usize..=4,
         ticks in 0u64..60,
     ) {
-        let serial = {
-            let pool = ThreadPool::new(Threads::serial());
+        let query = Query::cwsc(k, 0.7);
+        let run = |threads| {
             let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cwsc_within(&system, k, 0.7, &pool, &deadline, &mut NoopObserver)
+            solve_on(&system, &query, threads, &deadline)
         };
-        let parallel = {
-            let pool = ThreadPool::new(Threads::new(4));
-            let deadline = Deadline::unbounded().with_tick_budget(ticks);
-            cwsc_within(&system, k, 0.7, &pool, &deadline, &mut NoopObserver)
-        };
-        prop_assert_eq!(serial, parallel);
+        prop_assert_eq!(run(Threads::serial()), run(Threads::new(4)));
     }
 }
 
@@ -198,9 +206,8 @@ proptest! {
     ) {
         let space = PatternSpace::new(&table, CostFn::Max);
         let params = CmcParams::classic(k, 0.6, 0.5);
-        let pool = ThreadPool::new(Threads::serial());
         let deadline = Deadline::unbounded().with_tick_budget(ticks);
-        match opt_cmc_within(&space, &params, &pool, &deadline, &mut NoopObserver) {
+        match opt_cmc_within(&space, &params, &deadline, &mut NoopObserver) {
             Ok(SolveOutcome::Complete(_)) => {}
             Ok(SolveOutcome::Degraded(d)) => {
                 let check = verify_certificate_in(&space, &d.partial, &d.certificate);
@@ -232,17 +239,16 @@ mod faults {
     }
 
     /// Acceptance test: a worker panic injected into the first budget
-    /// guess under a 4-thread speculative window is contained, retried
-    /// once serially, and the solve completes — with the retry visible in
-    /// the metrics. Fails on the pre-engine tree (the panic escaped).
+    /// guess is contained, retried once, and the solve completes — with
+    /// the retry visible in the metrics. Fails on the pre-engine tree
+    /// (the panic escaped).
     #[test]
     fn injected_guess_panic_recovers_with_one_retry() {
         let system = acceptance_system();
         let params = CmcParams::classic(3, 0.75, 0.5);
-        let pool = ThreadPool::new(Threads::new(4));
         let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().panic_guess_once(1));
         let mut metrics = MetricsRecorder::new();
-        let outcome = cmc_within(&system, &params, &pool, &deadline, &mut metrics)
+        let outcome = cmc_within(&system, &params, &deadline, &mut metrics)
             .expect("one-shot fault must not fail the solve");
         assert!(outcome.is_complete(), "retry recovers: {outcome:?}");
         assert_eq!(metrics.guesses_retried, 1, "exactly one contained retry");
@@ -253,11 +259,13 @@ mod faults {
     #[test]
     fn persistent_guess_fault_reports_engine_error() {
         let system = acceptance_system();
-        let params = CmcParams::classic(3, 0.75, 0.5);
+        let query = Query {
+            b: 0.5,
+            ..Query::cmc(3, 0.75)
+        };
         for threads in [Threads::serial(), Threads::new(4)] {
-            let pool = ThreadPool::new(threads);
             let deadline = Deadline::unbounded().with_fault_plan(FaultPlan::new().fail_guess(1));
-            let err = cmc_within(&system, &params, &pool, &deadline, &mut NoopObserver)
+            let err = solve_on(&system, &query, threads, &deadline)
                 .expect_err("persistent fault must fail");
             match err {
                 EngineError::Panicked(msg) => {
@@ -274,9 +282,8 @@ mod faults {
         /// Under *any* seeded fault schedule plus an arbitrary tick
         /// budget, CMC still returns a structured outcome: contained
         /// panics, verified certificates, no hangs — and the outcome is
-        /// identical for `Threads(1)` and `Threads(4)` (tick-addressed
-        /// schedules force serial guessing; guess-addressed schedules
-        /// fire on thread-count-invariant guess indices).
+        /// identical for `Threads(1)` and `Threads(4)` (faults fire on
+        /// serial tick and guess indices).
         #[test]
         fn seeded_faults_stay_structured_and_thread_invariant(
             system in arb_system(),
@@ -285,18 +292,20 @@ mod faults {
             ticks in 1u64..120,
         ) {
             let params = CmcParams::classic(k, 0.8, 0.5);
-            let run = |threads: Threads| {
-                let pool = ThreadPool::new(threads);
-                let deadline = Deadline::unbounded()
+            let deadline = || {
+                Deadline::unbounded()
                     .with_tick_budget(ticks)
-                    .with_fault_plan(FaultPlan::from_seed(seed));
-                cmc_within(&system, &params, &pool, &deadline, &mut NoopObserver)
+                    .with_fault_plan(FaultPlan::from_seed(seed))
             };
-            let serial = run(Threads::serial());
-            if let Ok(outcome) = &serial {
+            let direct = cmc_within(&system, &params, &deadline(), &mut NoopObserver);
+            if let Ok(outcome) = &direct {
                 check_set_outcome(&system, &outcome.value().solution, outcome);
             }
-            prop_assert_eq!(&serial, &run(Threads::new(4)));
+            let query = Query { b: 0.5, ..Query::cmc(k, 0.8) };
+            prop_assert_eq!(
+                solve_on(&system, &query, Threads::serial(), &deadline()),
+                solve_on(&system, &query, Threads::new(4), &deadline())
+            );
         }
 
         /// Same contract for CWSC: the whole round is contained, so a
@@ -308,10 +317,9 @@ mod faults {
             k in 1usize..=4,
             seed in 0u64..1024,
         ) {
-            let pool = ThreadPool::new(Threads::serial());
             let deadline = Deadline::unbounded()
                 .with_fault_plan(FaultPlan::from_seed(seed));
-            match cwsc_within(&system, k, 0.7, &pool, &deadline, &mut NoopObserver) {
+            match cwsc_within(&system, k, 0.7, &deadline, &mut NoopObserver) {
                 Ok(outcome) => {
                     if let Some(cert) = outcome.certificate() {
                         let check = verify_certificate(&system, outcome.value(), cert);

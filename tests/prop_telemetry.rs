@@ -207,8 +207,8 @@ proptest! {
 #[cfg(feature = "fault-inject")]
 mod degraded_windows {
     use super::*;
-    use scwsc::sets::algorithms::cmc_within;
-    use scwsc::sets::{Deadline, FaultPlan};
+    use scwsc::sets::{Deadline, FaultPlan, Query, Solver, SystemInstance};
+    use std::sync::Arc;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -225,8 +225,9 @@ mod degraded_windows {
             let mut pooled = SolveWindows::with_window(window);
             let serial_pool = ThreadPool::new(Threads::serial());
             let quad_pool = ThreadPool::new(Threads::new(4));
-            let params = CmcParams::classic(k, 0.9, 1.0);
+            let query = Query::cmc(k, 0.9);
             for system in &systems {
+                let instance = SystemInstance::new(Arc::new(system.clone()));
                 let deadline = || {
                     Deadline::unbounded()
                         .with_tick_budget(ticks)
@@ -235,12 +236,12 @@ mod degraded_windows {
                 let r1 = {
                     let mut obs = Fanout::new();
                     obs.attach(&mut serial);
-                    cmc_within(system, &params, &serial_pool, &deadline(), &mut obs)
+                    instance.solve(&query, &serial_pool, &deadline(), &mut obs)
                 };
                 let r2 = {
                     let mut obs = Fanout::new();
                     obs.attach(&mut pooled);
-                    cmc_within(system, &params, &quad_pool, &deadline(), &mut obs)
+                    instance.solve(&query, &quad_pool, &deadline(), &mut obs)
                 };
                 prop_assert_eq!(r1.is_ok(), r2.is_ok());
             }
